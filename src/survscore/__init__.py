@@ -17,8 +17,6 @@ from .curves import (
     km_fit,
     km_loo,
     rmst,
-    surv_at,
-    surv_left,
 )
 from .dataset import (
     DataFormatError,
@@ -45,10 +43,8 @@ from .logrank import (
 )
 from .permutation import (
     MonteCarloP,
-    PermutationPlan,
     exact_perm_p,
     mc_perm_p,
-    permutation_p,
 )
 from .pseudo import (
     EstimandSpec,
@@ -68,7 +64,6 @@ __all__ = [
     "MonteCarloP",
     "PanelPoint",
     "ParametricSurvival",
-    "PermutationPlan",
     "PlotPanel",
     "PseudoSet",
     "RiskRow",
@@ -94,7 +89,6 @@ __all__ = [
     "milestone_test",
     "parse_dataset",
     "perm_moments",
-    "permutation_p",
     "pseudo_test",
     "pseudo_values",
     "render_svg",
@@ -103,8 +97,6 @@ __all__ = [
     "split_by_arm",
     "standardize",
     "standardize_pseudo",
-    "surv_at",
-    "surv_left",
     "u_and_v",
     "wlrt_test",
 ]

@@ -17,11 +17,11 @@ from pathlib import Path
 
 from .censoring import inject_censoring
 from .curves import km_fit
-from .dataset import TrialDataset, build_risk_table, parse_dataset, split_by_arm
+from .dataset import TrialDataset, parse_dataset, split_by_arm
 from .km_tests import milestone_test, rmst_test
-from .logrank import WeightSpec, compute_scores, compute_weights, standardize, wlrt_test
+from .logrank import WeightSpec, score_chain, wlrt_test
 from .permutation import EXACT_ASSIGNMENT_LIMIT, exact_perm_p, mc_perm_p
-from .pseudo import EstimandSpec, pseudo_test, pseudo_values, standardize_pseudo
+from .pseudo import ESTIMAND_KINDS, EstimandSpec, pseudo_test, pseudo_values
 from .svgplot import PlotPanel, render_svg
 
 BACKEND_FLAGS = {"km": "km", "exp": "exponential", "pwexp": "piecewise"}
@@ -38,7 +38,7 @@ def _jsonable(x):
 
 
 def _load(args) -> TrialDataset:
-    return parse_dataset(Path(args.input).read_text(encoding="utf-8"))
+    return parse_dataset(Path(args.input).read_text(encoding="utf-8-sig"))
 
 
 def _emit(text: str, args) -> None:
@@ -75,28 +75,53 @@ def _parse_breakpoints(text: str) -> tuple[float, ...]:
     return cuts
 
 
-def _weight_spec(kind: str, args) -> WeightSpec:
-    if kind == "logrank":
+METHOD_KEYS = {  # method name -> the options its spec takes
+    "logrank": (),
+    "fh": ("rho", "gamma"),
+    "mw": ("sstar",),
+    **dict.fromkeys(
+        ESTIMAND_KINDS, ("tau", "kappa", "tau1", "tau2", "backend", "breakpoints", "pooling", "log")
+    ),
+}
+
+
+def _method_spec(name: str, options: dict):
+    """The weight or estimand spec of method ``name``; the one spec builder.
+
+    ``options`` holds numbers for rho, gamma, sstar, tau, kappa, tau1 and
+    tau2, a backend flag (km|exp|pwexp), a breakpoint list as text, a
+    pooling and a log-scale bool; absent ones take their defaults.  mw
+    needs sstar, which its callers check with their own wording.
+    """
+    if name == "logrank":
         return WeightSpec.logrank()
-    if kind == "fh":
-        return WeightSpec.fleming_harrington(args.rho, args.gamma)
-    if args.sstar is None:
-        raise ValueError(f"the modest test ({kind}) requires --sstar")
-    return WeightSpec.modest(args.sstar)
-
-
-def _estimand_spec(args) -> EstimandSpec:
+    if name == "fh":
+        return WeightSpec.fleming_harrington(options.get("rho", 0.0), options.get("gamma", 0.0))
+    if name == "mw":
+        return WeightSpec.modest(options["sstar"])
+    breakpoints = options.get("breakpoints")
     return EstimandSpec(
-        kind=args.estimand,
-        tau=args.tau,
-        kappa=args.kappa,
-        tau1=args.tau1,
-        tau2=args.tau2,
-        log_scale=args.ahsw_scale == "log",
-        backend=BACKEND_FLAGS[args.backend],
-        breakpoints=_parse_breakpoints(args.breakpoints),
-        pooling=args.pooling,
+        kind=name,
+        tau=options.get("tau"),
+        kappa=options.get("kappa"),
+        tau1=options.get("tau1"),
+        tau2=options.get("tau2"),
+        log_scale=options.get("log", True),
+        backend=BACKEND_FLAGS[options.get("backend", "km")],
+        breakpoints=DEFAULT_BREAKPOINTS if breakpoints is None else _parse_breakpoints(breakpoints),
+        pooling=options.get("pooling", "arm"),
     )
+
+
+def _flag_spec(name: str, args):
+    """The spec of method ``name`` from the subcommand's flags."""
+    if name == "mw" and args.sstar is None:
+        raise ValueError(f"the modest test ({name}) requires --sstar")
+    keys = METHOD_KEYS[name]
+    options = {k: v for k, v in vars(args).items() if k in keys and v is not None}
+    if "log" in keys:
+        options["log"] = args.ahsw_scale == "log"
+    return _method_spec(name, options)
 
 
 def parse_method_spec(text: str):
@@ -109,71 +134,44 @@ def parse_method_spec(text: str):
     """
     name, _, rest = text.partition(":")
     name = name.strip()
-    options = {}
+    raw = {}
     if rest:
         for pair in rest.split(","):
             key, sep, value = pair.partition("=")
             if not sep:
                 raise ValueError(f"bad method spec {text!r}: expected key=value, got {pair!r}")
-            options[key.strip()] = value.strip()
+            raw[key.strip()] = value.strip()
 
-    def take_float(key, default=None):
-        raw = options.pop(key, None)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValueError(f"bad method spec {text!r}: {key} must be a number") from None
-
-    if name in ("logrank", "fh", "mw"):
-        if name == "logrank":
-            spec = WeightSpec.logrank()
-        elif name == "fh":
-            spec = WeightSpec.fleming_harrington(take_float("rho", 0.0), take_float("gamma", 0.0))
-        else:
-            s_star = take_float("sstar")
-            if s_star is None:
-                raise ValueError(f"bad method spec {text!r}: mw requires sstar=")
-            spec = WeightSpec.modest(s_star)
-        if options:
-            raise ValueError(f"bad method spec {text!r}: unknown keys {sorted(options)}")
-        return "score", spec
-
-    if name not in ("rmst", "milestone", "wmst", "ahsw"):
+    keys = METHOD_KEYS.get(name)
+    if keys is None:
         raise ValueError(f"bad method spec {text!r}: unknown method {name!r}")
-    backend = options.pop("backend", "km")
-    if backend not in BACKEND_FLAGS:
-        raise ValueError(f"bad method spec {text!r}: backend must be km, exp or pwexp")
-    breakpoints = options.pop("breakpoints", None)
-    pooling = options.pop("pooling", "arm")
-    log_flag = options.pop("log", "on")
-    if log_flag not in ("on", "off"):
-        raise ValueError(f"bad method spec {text!r}: log must be on or off")
-    spec = EstimandSpec(
-        kind=name,
-        tau=take_float("tau"),
-        kappa=take_float("kappa"),
-        tau1=take_float("tau1"),
-        tau2=take_float("tau2"),
-        log_scale=log_flag == "on",
-        backend=BACKEND_FLAGS[backend],
-        breakpoints=_parse_breakpoints(breakpoints) if breakpoints else DEFAULT_BREAKPOINTS,
-        pooling=pooling,
-    )
-    if options:
-        raise ValueError(f"bad method spec {text!r}: unknown keys {sorted(options)}")
-    return "pseudo", spec
+    if set(raw) - set(keys):
+        raise ValueError(f"bad method spec {text!r}: unknown keys {sorted(set(raw) - set(keys))}")
+    if name == "mw" and "sstar" not in raw:
+        raise ValueError(f"bad method spec {text!r}: mw requires sstar=")
+
+    options = {}
+    for key, value in raw.items():
+        if key == "backend":
+            if value not in BACKEND_FLAGS:
+                raise ValueError(f"bad method spec {text!r}: backend must be km, exp or pwexp")
+            options[key] = value
+        elif key == "log":
+            if value not in ("on", "off"):
+                raise ValueError(f"bad method spec {text!r}: log must be on or off")
+            options[key] = value == "on"
+        elif key in ("pooling", "breakpoints"):
+            options[key] = value
+        else:
+            try:
+                options[key] = float(value)
+            except ValueError:
+                raise ValueError(f"bad method spec {text!r}: {key} must be a number") from None
+    return _method_spec(name, options)
 
 
-def _build_panel(ds: TrialDataset, parsed) -> PlotPanel:
-    kind, spec = parsed
-    if kind == "score":
-        rt = build_risk_table(ds)
-        weights = compute_weights(rt, km_fit(ds), spec)
-        values = standardize(compute_scores(rt, weights, spec)).scaled
-    else:
-        values = standardize_pseudo(pseudo_values(ds, spec)).scaled
+def _build_panel(ds: TrialDataset, spec) -> PlotPanel:
+    values = spec.per_subject(ds).scaled
     return PlotPanel.from_values(spec.describe(), ds.times, values, ds.arms, ds.events)
 
 
@@ -208,11 +206,7 @@ def cmd_km(args) -> int:
 
 def cmd_scores(args) -> int:
     ds = _load(args)
-    spec = _weight_spec(args.test, args)
-    rt = build_risk_table(ds)
-    pooled = km_fit(ds)
-    weights = compute_weights(rt, pooled, spec)
-    scores = standardize(compute_scores(rt, weights, spec))
+    rt, pooled, scores = score_chain(ds, _flag_spec(args.test, args))
 
     order = sorted(range(ds.n), key=lambda k: ds.subjects[k].time)
     rows = []
@@ -225,7 +219,7 @@ def cmd_scores(args) -> int:
                 "arm": s.arm,
                 "event": s.event,
                 "survival": pooled.left(s.time),
-                "weight": weights[j - 1] if j >= 1 else None,
+                "weight": scores.weights[j - 1] if j >= 1 else None,
                 "score": scores.raw[k],
                 "scaled_score": scores.scaled[k],
             }
@@ -237,7 +231,7 @@ def cmd_scores(args) -> int:
 
 def cmd_pseudo(args) -> int:
     ds = _load(args)
-    ps = standardize_pseudo(pseudo_values(ds, _estimand_spec(args)))
+    ps = _flag_spec(args.estimand, args).per_subject(ds)
     rows = []
     for s, loo, value, scaled in zip(ds.subjects, ps.loo, ps.values, ps.scaled):
         rows.append(
@@ -255,26 +249,28 @@ def cmd_pseudo(args) -> int:
     return 0
 
 
+# --method -> its test of a dataset under the spec the flags describe.  The
+# per-subject tests attach their ScoreSet or PseudoSet; rmst and milestone
+# are the closed-form KM tests and attach none.  The lambdas look the test
+# functions up at call time, so wrappers put on this module's names (the
+# perfbench tracer's) see every call.
+TESTS = {
+    **dict.fromkeys(("logrank", "fh", "mw"), lambda ds, spec: wlrt_test(ds, spec)),
+    "pseudo": lambda ds, spec: pseudo_test(pseudo_values(ds, spec)),
+    "rmst": lambda ds, spec: rmst_test(ds, spec.tau),
+    "milestone": lambda ds, spec: milestone_test(ds, spec.kappa),
+}
+
+
 def cmd_test(args) -> int:
     ds = _load(args)
-    permutable = None  # (values, benefit_direction)
-    if args.method in ("logrank", "fh", "mw"):
-        result = wlrt_test(ds, _weight_spec(args.method, args))
-        permutable = (result.per_subject.raw, "lower")
-    elif args.method == "rmst":
-        if args.tau is None:
-            raise ValueError("--method rmst requires --tau")
-        result = rmst_test(ds, args.tau)
-    elif args.method == "milestone":
-        if args.kappa is None:
-            raise ValueError("--method milestone requires --kappa")
-        result = milestone_test(ds, args.kappa)
-    else:
+    name = args.method
+    if name == "pseudo":
         if args.estimand is None:
             raise ValueError("--method pseudo requires --estimand")
-        ps = pseudo_values(ds, _estimand_spec(args))
-        result = pseudo_test(ps)
-        permutable = (ps.values, "lower" if ps.spec.kind == "ahsw" else "upper")
+        name = args.estimand
+    spec = _flag_spec(name, args)
+    result = TESTS[args.method](ds, spec)
 
     p_one_sided = result.p_one_sided
     if args.flip_direction:
@@ -289,12 +285,13 @@ def cmd_test(args) -> int:
         "warnings": list(result.warnings),
     }
     if args.perm:
-        if permutable is None:
+        if result.per_subject is None:
             raise ValueError(
                 "permutation inference needs per-subject values; "
                 "use a score method or --method pseudo"
             )
-        values, direction = permutable
+        values = result.per_subject.values
+        direction = spec.benefit
         if args.flip_direction:
             direction = "upper" if direction == "lower" else "lower"
         if args.perm == "exact":

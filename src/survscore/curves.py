@@ -95,20 +95,6 @@ class ParametricSurvival:
 SurvivalCurve = StepSurvival | ParametricSurvival
 
 
-def surv_at(curve: SurvivalCurve, t: float) -> float:
-    """S(t), right-continuous."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return curve.at(t)
-
-
-def surv_left(curve: SurvivalCurve, t: float) -> float:
-    """S(t-), the left limit."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return curve.left(t)
-
-
 def km_fit(ds: TrialDataset) -> StepSurvival:
     """Product-limit estimate over the dataset's risk table."""
     rt = build_risk_table(ds)  # raises when there are no events
@@ -200,6 +186,8 @@ def fit_piecewise_exponential(ds: TrialDataset, breakpoints) -> ParametricSurviv
     if ds.n == 0:
         raise ValueError("cannot fit an empty dataset")
     cuts = tuple(float(c) for c in breakpoints)
+    if not all(map(math.isfinite, cuts)):
+        raise ValueError("breakpoints must be finite")
     if any(c <= 0 for c in cuts) or any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError("breakpoints must be positive and strictly ascending")
     n_intervals = len(cuts) + 1

@@ -79,9 +79,6 @@ class TrialDataset:
             raise IndexError(f"subject index {k} out of range")
         return TrialDataset(self.subjects[:k] + self.subjects[k + 1 :])
 
-    def subset(self, indices) -> "TrialDataset":
-        return TrialDataset(tuple(self.subjects[i] for i in indices))
-
     def require_two_arms(self):
         n1 = self.n_arm1
         if not 1 <= n1 <= self.n - 1:
@@ -122,10 +119,7 @@ class RiskTable:
     rows: tuple[RiskRow, ...]
     censored_before_first: tuple[int, int]  # per arm, strictly before row 0
     source: TrialDataset
-
-    @property
-    def event_times(self) -> tuple[float, ...]:
-        return tuple(r.time for r in self.rows)
+    event_times: tuple[float, ...]  # the rows' times, kept for bisecting
 
     def interval_index(self, time: float) -> int:
         """Number of distinct event times <= ``time`` (0 = before the first)."""
@@ -200,7 +194,7 @@ def build_risk_table(ds: TrialDataset) -> RiskTable:
         rows.append(RiskRow(t, at_risk, events, censored))
 
     before_first = (censored_in[0].get(0, 0), censored_in[1].get(0, 0))
-    return RiskTable(tuple(rows), before_first, ds)
+    return RiskTable(tuple(rows), before_first, ds, tuple(event_times))
 
 
 def split_by_arm(ds: TrialDataset) -> tuple[TrialDataset, TrialDataset]:

@@ -1,13 +1,15 @@
 """Closed-form Kaplan-Meier tests: RMST difference and milestone survival.
 
 Both compare the per-arm product-limit curves directly, with Greenwood-type
-variances.  A variance term at an event time where everyone at risk dies
+variances, and orient their p-values by the benefit of the matching
+EstimandSpec.  A variance term at an event time where everyone at risk dies
 divides by zero; such terms are dropped and a warning is attached.
 """
 
 from .curves import km_fit, rmst
 from .dataset import TrialDataset, build_risk_table, split_by_arm
-from .logrank import TestResult, normal_cdf, z_value
+from .logrank import TestResult, one_sided_p, z_value
+from .pseudo import EstimandSpec
 
 
 def _arm_fits(ds: TrialDataset, horizon: float, what: str):
@@ -48,21 +50,24 @@ def _integrals_from(curve, event_times, tau):
     return out
 
 
-def rmst_test(ds: TrialDataset, tau: float) -> TestResult:
-    """Difference in restricted mean survival up to tau, arm 1 minus arm 0."""
-    if tau <= 0:
-        raise ValueError("restriction time must be positive")
-    fits = _arm_fits(ds, tau, "restriction time")
-    estimates = [rmst(curve, tau) for _, curve in fits]
+def _difference_test(ds, spec, what, method, functional, coefficients) -> TestResult:
+    """Arm 1 minus arm 0 of a KM functional, with a Greenwood-type variance.
+
+    The variance sums c^2 d / (n (n - d)) over each arm's event times up
+    to the spec's horizon, where ``coefficients(curve, rows)`` gives c for
+    every risk-table row.
+    """
+    horizon = spec.horizon
+    fits = _arm_fits(ds, horizon, what)
+    estimates = [functional(curve) for _, curve in fits]
     statistic = estimates[1] - estimates[0]
 
     variance = 0.0
     warnings = []
     for (sub, curve), label in zip(fits, ("arm 0", "arm 1")):
         rows = build_risk_table(sub).rows
-        tail = _integrals_from(curve, [r.time for r in rows], tau)
-        for row, integral in zip(rows, tail):
-            if row.time > tau:
+        for row, c in zip(rows, coefficients(curve, rows)):
+            if row.time > horizon:
                 continue
             n, d = row.n, row.d
             if n == d:
@@ -71,51 +76,39 @@ def rmst_test(ds: TrialDataset, tau: float) -> TestResult:
                     "all subjects at risk had events"
                 )
                 continue
-            if integral != 0.0:
-                variance += integral * integral * d / (n * (n - d))
+            if c != 0.0:
+                variance += c * c * d / (n * (n - d))
 
     z = z_value(statistic, variance)
     return TestResult(
-        method=f"RMST({tau:g}) difference [KM]",
+        method=method,
         statistic=statistic,
         variance=variance,
         z=z,
-        p_one_sided=normal_cdf(-z),
+        p_one_sided=one_sided_p(z, spec.benefit),
         warnings=tuple(warnings),
+    )
+
+
+def rmst_test(ds: TrialDataset, tau: float) -> TestResult:
+    """Difference in restricted mean survival up to tau, arm 1 minus arm 0."""
+    return _difference_test(
+        ds,
+        EstimandSpec("rmst", tau=tau),
+        "restriction time",
+        f"RMST({tau:g}) difference [KM]",
+        lambda curve: rmst(curve, tau),
+        lambda curve, rows: _integrals_from(curve, [r.time for r in rows], tau),
     )
 
 
 def milestone_test(ds: TrialDataset, kappa: float) -> TestResult:
     """Difference in survival probability at time kappa, arm 1 minus arm 0."""
-    if kappa <= 0:
-        raise ValueError("milestone time must be positive")
-    fits = _arm_fits(ds, kappa, "milestone time")
-    survivals = [curve.at(kappa) for _, curve in fits]
-    statistic = survivals[1] - survivals[0]
-
-    variance = 0.0
-    warnings = []
-    for (sub, curve), surv_k, label in zip(fits, survivals, ("arm 0", "arm 1")):
-        factor = surv_k * surv_k
-        for row in build_risk_table(sub).rows:
-            if row.time > kappa:
-                continue
-            n, d = row.n, row.d
-            if n == d:
-                warnings.append(
-                    f"variance term at t={row.time:g} on {label} dropped: "
-                    "all subjects at risk had events"
-                )
-                continue
-            if factor != 0.0:
-                variance += factor * d / (n * (n - d))
-
-    z = z_value(statistic, variance)
-    return TestResult(
-        method=f"milestone({kappa:g}) difference [KM]",
-        statistic=statistic,
-        variance=variance,
-        z=z,
-        p_one_sided=normal_cdf(-z),
-        warnings=tuple(warnings),
+    return _difference_test(
+        ds,
+        EstimandSpec("milestone", kappa=kappa),
+        "milestone time",
+        f"milestone({kappa:g}) difference [KM]",
+        lambda curve: curve.at(kappa),
+        lambda curve, rows: [curve.at(kappa)] * len(rows),
     )

@@ -9,6 +9,7 @@ randomization variance.
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from .curves import StepSurvival, km_fit
 from .dataset import RiskTable, TrialDataset, build_risk_table
@@ -28,6 +29,9 @@ class WeightSpec:
     rho: float = 0.0
     gamma: float = 0.0
     s_star: float = 1.0
+    # observed-minus-expected events on arm 1: fewer events than expected
+    # (a lower statistic, lower scores) favor arm 1, whatever the weight
+    benefit: ClassVar[str] = "lower"
 
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:
@@ -58,6 +62,10 @@ class WeightSpec:
             return f"Fleming-Harrington({self.rho:g},{self.gamma:g})"
         return f"modest(s*={self.s_star:g})"
 
+    def per_subject(self, ds: TrialDataset) -> "ScoreSet":
+        """Standardized per-subject scores of ``ds`` under this weight."""
+        return score_chain(ds, self)[2]
+
 
 @dataclass(frozen=True)
 class ScoreSet:
@@ -74,6 +82,11 @@ class ScoreSet:
     scaled: tuple[float, ...] | None = None
     scale: float | None = None
     offset: float | None = None
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The raw scores: the unscaled per-subject values, named as on PseudoSet."""
+        return self.raw
 
     @property
     def arm1_sum(self) -> float:
@@ -101,6 +114,15 @@ class TestResult:
 
 def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def one_sided_p(z: float, benefit: str) -> float:
+    """Normal one-sided p-value, small when z lies on the ``benefit`` tail.
+
+    ``benefit`` is a spec's ``benefit``: "lower" when a smaller statistic
+    favors arm 1, "upper" when a larger one does.
+    """
+    return normal_cdf(z if benefit == "lower" else -z)
 
 
 def z_value(statistic: float, variance: float) -> float:
@@ -213,23 +235,32 @@ def mean_score_diff(values, arms) -> float:
     return sum(ones) / len(ones) - sum(zeros) / len(zeros)
 
 
+def score_chain(ds: TrialDataset, spec: WeightSpec):
+    """The score pipeline: risk table, pooled KM curve, weights, scores.
+
+    Returns (risk table, pooled curve, standardized ScoreSet); the table
+    and the curve come along for callers that tabulate or test with them.
+    """
+    rt = build_risk_table(ds)
+    pooled = km_fit(ds)
+    weights = compute_weights(rt, pooled, spec)
+    return rt, pooled, standardize(compute_scores(rt, weights, spec))
+
+
 def wlrt_test(ds: TrialDataset, spec: WeightSpec) -> TestResult:
     """Weighted log-rank test; negative statistic favors arm 1.
 
     The attached ScoreSet is already standardized for plotting.
     """
     ds.require_two_arms()
-    rt = build_risk_table(ds)
-    pooled = km_fit(ds)
-    weights = compute_weights(rt, pooled, spec)
-    u, v = u_and_v(rt, weights)
-    scores = standardize(compute_scores(rt, weights, spec))
+    rt, _, scores = score_chain(ds, spec)
+    u, v = u_and_v(rt, scores.weights)
     z = z_value(u, v)
     return TestResult(
         method=spec.describe(),
         statistic=u,
         variance=v,
         z=z,
-        p_one_sided=normal_cdf(z),
+        p_one_sided=one_sided_p(z, spec.benefit),
         per_subject=scores,
     )

@@ -26,24 +26,6 @@ _TIE_WINDOW_SHIFT = 41  # window = spread / 2, right-shifted by 40
 
 
 @dataclass(frozen=True)
-class PermutationPlan:
-    """How to run the permutation test."""
-
-    mode: str = "exact"  # "exact" | "monte_carlo"
-    replicates: int = 10_000
-    seed: int = 0
-    direction: str = "lower"  # "lower" | "upper"
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "monte_carlo"):
-            raise ValueError(f"unknown permutation mode {self.mode!r}")
-        if self.direction not in ("lower", "upper"):
-            raise ValueError(f"direction must be 'lower' or 'upper', got {self.direction!r}")
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
-
-
-@dataclass(frozen=True)
 class MonteCarloP:
     """Add-one permutation p-value estimate with its binomial standard error."""
 
@@ -175,9 +157,3 @@ def mc_perm_p(values, arms, replicates: int, seed: int, direction: str = "lower"
     p = (1 + extreme) / (replicates + 1)
     return MonteCarloP(p, math.sqrt(p * (1.0 - p) / replicates), replicates, seed)
 
-
-def permutation_p(values, arms, plan: PermutationPlan):
-    """Run the plan: a float for exact mode, a MonteCarloP otherwise."""
-    if plan.mode == "exact":
-        return exact_perm_p(values, arms, plan.direction)
-    return mc_perm_p(values, arms, plan.replicates, plan.seed, plan.direction)

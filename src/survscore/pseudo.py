@@ -17,10 +17,9 @@ from .curves import (
     fit_piecewise_exponential,
     km_fit,
     rmst,
-    surv_at,
 )
 from .dataset import TrialDataset, split_by_arm
-from .logrank import TestResult, mean_score_diff, normal_cdf, perm_moments, z_value
+from .logrank import TestResult, mean_score_diff, one_sided_p, perm_moments, z_value
 
 ESTIMAND_KINDS = ("rmst", "milestone", "wmst", "ahsw")
 BACKENDS = ("km", "exponential", "piecewise")
@@ -33,7 +32,8 @@ class EstimandSpec:
 
     wmst allows tau1 = 0, in which case it coincides with rmst(tau2).
     ahsw is (1 - S(tau)) / rmst(tau), compared on the log scale unless
-    ``log_scale`` is switched off.
+    ``log_scale`` is switched off.  Horizons and breakpoints must be
+    finite.
     """
 
     kind: str
@@ -54,17 +54,28 @@ class EstimandSpec:
         if self.pooling not in POOLINGS:
             raise ValueError(f"unknown pooling {self.pooling!r}")
         if self.kind in ("rmst", "ahsw"):
-            if self.tau is None or self.tau <= 0:
-                raise ValueError(f"{self.kind} needs a positive horizon tau")
+            if not _finite(self.tau) or self.tau <= 0:
+                raise ValueError(f"{self.kind} needs a finite positive horizon tau")
         elif self.kind == "milestone":
-            if self.kappa is None or self.kappa <= 0:
-                raise ValueError("milestone needs a positive time kappa")
+            if not _finite(self.kappa) or self.kappa <= 0:
+                raise ValueError("milestone needs a finite positive time kappa")
         else:  # wmst
-            if self.tau1 is None or self.tau2 is None or self.tau1 < 0:
-                raise ValueError("wmst needs window times tau1 >= 0 and tau2")
+            if not (_finite(self.tau1) and _finite(self.tau2)) or self.tau1 < 0:
+                raise ValueError("wmst needs finite window times tau1 >= 0 and tau2")
             if not self.tau1 < self.tau2:
                 raise ValueError("wmst needs tau1 < tau2")
         object.__setattr__(self, "breakpoints", tuple(float(c) for c in self.breakpoints))
+        if not all(map(math.isfinite, self.breakpoints)):
+            raise ValueError("breakpoints must be finite")
+
+    @property
+    def benefit(self) -> str:
+        """Which tail of the estimand favors arm 1: "lower" or "upper".
+
+        A longer survival (rmst, milestone, wmst) is better; ahsw is an
+        average hazard, so a smaller one is.
+        """
+        return "lower" if self.kind == "ahsw" else "upper"
 
     @property
     def horizon(self) -> float:
@@ -90,6 +101,14 @@ class EstimandSpec:
         ]
         return f"{what} [{backend}, {self.pooling}]"
 
+    def per_subject(self, ds: TrialDataset) -> "PseudoSet":
+        """Standardized pseudo-values of ``ds`` for this estimand."""
+        return standardize_pseudo(pseudo_values(ds, self))
+
+
+def _finite(x) -> bool:
+    return x is not None and math.isfinite(x)
+
 
 @dataclass(frozen=True)
 class PseudoSet:
@@ -97,8 +116,8 @@ class PseudoSet:
 
     ``loo`` holds the leave-one-out functional estimate behind each value,
     ``functionals`` the full-sample estimate per fitting group.  ``scaled``
-    is filled by standardize_pseudo() with the orientation-reversing map
-    (larger survival benefit -> lower scaled value, like a score).
+    is filled by standardize_pseudo(), oriented so that benefit on arm 1
+    gives a lower scaled value, like a score.
     """
 
     source: TrialDataset
@@ -126,10 +145,10 @@ def _functional(curve: SurvivalCurve, spec: EstimandSpec) -> float:
     if spec.kind == "rmst":
         return rmst(curve, spec.tau)
     if spec.kind == "milestone":
-        return surv_at(curve, spec.kappa)
+        return curve.at(spec.kappa)
     if spec.kind == "wmst":
         return rmst(curve, spec.tau2) - rmst(curve, spec.tau1)
-    cumulative_incidence = 1.0 - surv_at(curve, spec.tau)
+    cumulative_incidence = 1.0 - curve.at(spec.tau)
     ratio = cumulative_incidence / rmst(curve, spec.tau)
     if not spec.log_scale:
         return ratio
@@ -183,15 +202,15 @@ def standardize_pseudo(ps: PseudoSet) -> PseudoSet:
     """Affine map of pseudo-values onto [-1, 1], benefit pointing down.
 
     Computed jointly over both arms; the subject with the best outcome
-    gets -1, so panels line up with log-rank score panels.  Best means
-    the largest value for rmst/wmst/milestone but the smallest for ahsw,
-    where the map keeps its sign instead of reversing.
+    gets -1, so panels line up with log-rank score panels.  The map
+    reverses the values when the estimand's benefit is "upper" and keeps
+    their sign when it is "lower".
     """
     hi, lo = max(ps.values), min(ps.values)
     if hi == lo:
         raise ValueError("degenerate pseudo-value range: all values equal")
     span = hi - lo
-    if ps.spec.kind == "ahsw":
+    if ps.spec.benefit == "lower":
         scaled = tuple((2.0 * v - hi - lo) / span for v in ps.values)
     else:
         scaled = tuple((hi + lo - 2.0 * v) / span for v in ps.values)
@@ -201,8 +220,8 @@ def standardize_pseudo(ps: PseudoSet) -> PseudoSet:
 def pseudo_test(ps: PseudoSet, arms=None) -> TestResult:
     """Mean pseudo-value difference with permutation-moment variance.
 
-    Oriented so that benefit on arm 1 gives a small p: larger values are
-    better for rmst/wmst/milestone, smaller for ahsw.
+    Oriented by the estimand's ``benefit``, so that benefit on arm 1
+    gives a small p.
     """
     if arms is None:
         arms = ps.source.arms
@@ -211,12 +230,11 @@ def pseudo_test(ps: PseudoSet, arms=None) -> TestResult:
     statistic = mean_score_diff(ps.values, arms)
     _, variance = perm_moments(ps.values, sum(arms))
     z = z_value(statistic, variance)
-    oriented = z if ps.spec.kind == "ahsw" else -z
     return TestResult(
         method=f"pseudo-value {ps.spec.describe()}",
         statistic=statistic,
         variance=variance,
         z=z,
-        p_one_sided=normal_cdf(oriented),
+        p_one_sided=one_sided_p(z, ps.spec.benefit),
         per_subject=ps,
     )

@@ -139,6 +139,8 @@ def render_svg(panels, columns: int = 3, x_max: float | None = None) -> str:
     panels = list(panels)
     if not panels:
         raise ValueError("nothing to render")
+    if columns < 1:
+        raise ValueError(f"columns must be at least 1, got {columns}")
     if x_max is None:
         x_max = nice_ceiling(max(p.time for panel in panels for p in panel.points))
     columns = min(columns, len(panels))

@@ -1,10 +1,17 @@
+import contextlib
 import csv
+import io
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from survscore import EstimandSpec, WeightSpec
 from survscore.cli import main, parse_method_spec
+from tests.conftest import TOY_CSV
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -215,6 +222,15 @@ def test_compare_needs_two_specs(toy_csv_path, tmp_path, capsys):
     assert "at least two" in capsys.readouterr().err
 
 
+def test_utf8_bom_input(tmp_path, toy_csv_path, capsys):
+    bom = tmp_path / "bom.csv"
+    bom.write_text("\ufeff" + TOY_CSV, encoding="utf-8")
+    assert run("km", "--input", str(bom)) == 0
+    with_bom = capsys.readouterr().out
+    assert run("km", "--input", str(toy_csv_path)) == 0
+    assert with_bom == capsys.readouterr().out
+
+
 def test_bad_input_file_is_single_line_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("time,arm,event\n-1,0,1\n")
@@ -226,20 +242,96 @@ def test_bad_input_file_is_single_line_error(tmp_path, capsys):
 
 
 def test_parse_method_spec():
-    kind, spec = parse_method_spec("logrank")
-    assert kind == "score" and spec.kind == "logrank"
-    kind, spec = parse_method_spec("fh:rho=1,gamma=0.5")
+    spec = parse_method_spec("logrank")
+    assert spec == WeightSpec.logrank() and spec.benefit == "lower"
+    spec = parse_method_spec("fh:rho=1,gamma=0.5")
     assert (spec.rho, spec.gamma) == (1.0, 0.5)
-    kind, spec = parse_method_spec("rmst:tau=18,backend=exp,pooling=pooled")
-    assert kind == "pseudo"
+    spec = parse_method_spec("rmst:tau=18,backend=exp,pooling=pooled")
+    assert isinstance(spec, EstimandSpec) and spec.benefit == "upper"
     assert (spec.backend, spec.pooling) == ("exponential", "pooled")
-    kind, spec = parse_method_spec("milestone:kappa=12,backend=pwexp,breakpoints=1:2:3")
+    spec = parse_method_spec("milestone:kappa=12,backend=pwexp,breakpoints=1:2:3")
     assert spec.breakpoints == (1.0, 2.0, 3.0)
-    kind, spec = parse_method_spec("ahsw:tau=9,log=off")
-    assert spec.log_scale is False
+    spec = parse_method_spec("ahsw:tau=9,log=off")
+    assert spec.log_scale is False and spec.benefit == "lower"
     with pytest.raises(ValueError, match="unknown method"):
         parse_method_spec("cox")
     with pytest.raises(ValueError, match="unknown keys"):
         parse_method_spec("logrank:tau=3")
     with pytest.raises(ValueError, match="sstar"):
         parse_method_spec("mw")
+
+
+# Numbers no horizon, weight or layout admits, plus a few that some do.
+EDGE_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "-0.5", "1e300", "0.5", "6", "18"]
+edge = st.sampled_from(EDGE_NUMBERS)
+
+
+def _pseudo_argv(draw):
+    argv = ["pseudo", "--estimand", draw(st.sampled_from(["rmst", "milestone", "wmst", "ahsw"])),
+            "--backend", draw(st.sampled_from(["km", "exp", "pwexp"]))]
+    for flag in ("--tau", "--kappa", "--tau1", "--tau2"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(edge)}")
+    if draw(st.booleans()):
+        argv.append(f"--breakpoints={draw(edge)},{draw(edge)}")
+    return argv
+
+
+def _test_argv(draw):
+    method = draw(st.sampled_from(["rmst", "milestone", "logrank", "fh", "mw", "pseudo"]))
+    argv = ["test", "--method", method]
+    flags = ["--tau", "--kappa", "--rho", "--gamma", "--sstar"]
+    if method == "pseudo":
+        argv += ["--estimand", draw(st.sampled_from(["rmst", "milestone", "wmst", "ahsw"])),
+                 "--backend", draw(st.sampled_from(["km", "exp", "pwexp"]))]
+        flags += ["--tau1", "--tau2"]
+    for flag in flags:
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(edge)}")
+    if draw(st.booleans()):
+        argv += ["--perm", "mc", "--replicates", "50"]
+    return argv
+
+
+def _compare_argv(draw, out):
+    specs = [
+        f"rmst:tau={draw(edge)}",
+        f"milestone:kappa={draw(edge)},backend={draw(st.sampled_from(['km', 'exp', 'pwexp']))}",
+        f"wmst:tau1={draw(edge)},tau2={draw(edge)}",
+        f"ahsw:tau={draw(edge)},backend=exp",
+        f"fh:rho={draw(edge)},gamma={draw(edge)}",
+        f"mw:sstar={draw(edge)}",
+        f"rmst:tau=18,backend=pwexp,breakpoints={draw(edge)}:{draw(edge)}",
+    ]
+    chosen = draw(st.lists(st.sampled_from(specs), min_size=2, max_size=3))
+    argv = ["compare", "--output", str(out)]
+    for spec in chosen:
+        argv += ["--spec", spec]
+    return argv + [f"--columns={draw(st.sampled_from([-1, 0, 1, 2, 10**9]))}"]
+
+
+NAN = re.compile(r"\bnan\b", re.IGNORECASE)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_contract_under_edge_flag_values(toy_csv_path, tmp_path, data):
+    """Any flag values: exit 0, 1 or 2 with no traceback, and no NaN printed."""
+    out = tmp_path / "cmp.svg"
+    for stale in (out, out.with_suffix(".csv")):
+        stale.unlink(missing_ok=True)
+    make_argv = data.draw(
+        st.sampled_from([_pseudo_argv, _test_argv, lambda draw: _compare_argv(draw, out)])
+    )
+    argv = make_argv(data.draw) + ["--input", str(toy_csv_path)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    written = [p.read_text() for p in (out, out.with_suffix(".csv")) if p.exists()]
+    for text in [stdout.getvalue(), stderr.getvalue()] + written:
+        assert not NAN.search(text), (argv, text[:300])
+    if code == 1:
+        assert stderr.getvalue().startswith("error:")
+        assert len(stderr.getvalue().strip().splitlines()) == 1

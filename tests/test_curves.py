@@ -15,8 +15,6 @@ from survscore import (
     km_loo,
     rmst,
     split_by_arm,
-    surv_at,
-    surv_left,
 )
 from tests import oracles
 from tests.conftest import random_dataset
@@ -28,19 +26,19 @@ def toy_pooled(toy):
 
 
 def test_km_toy_left_limits(toy, toy_pooled):
-    assert surv_left(toy_pooled, 6.12) == pytest.approx(0.917, abs=1e-3)
-    assert surv_left(toy_pooled, 24.98) == pytest.approx(0.500, abs=1e-3)
+    assert toy_pooled.left(6.12) == pytest.approx(0.917, abs=1e-3)
+    assert toy_pooled.left(24.98) == pytest.approx(0.500, abs=1e-3)
     # whole curve against the direct-product oracle
     steps = oracles.km_steps([(s.time, s.event) for s in toy.subjects])
     assert toy_pooled.jump_times == tuple(t for t, _ in steps)
     for t, v in steps:
-        assert surv_at(toy_pooled, t) == pytest.approx(v, abs=1e-12)
+        assert toy_pooled.at(t) == pytest.approx(v, abs=1e-12)
 
 
 def test_km_single_subject():
     curve = km_fit(TrialDataset((Subject(5.0, 0, 1),)))
-    assert surv_at(curve, 4.99) == 1.0
-    assert surv_at(curve, 5.0) == 0.0
+    assert curve.at(4.99) == 1.0
+    assert curve.at(5.0) == 0.0
 
 
 def test_km_product_identity_on_random_data():
@@ -120,18 +118,16 @@ def test_rmst_additivity():
 
 
 def test_surv_at_toy_milestone(toy, toy_pooled):
-    assert surv_at(toy_pooled, 18.0) == pytest.approx(0.500, abs=1e-12)
-    assert surv_at(toy_pooled, 0.0) == 1.0
+    assert toy_pooled.at(18.0) == pytest.approx(0.500, abs=1e-12)
+    assert toy_pooled.at(0.0) == 1.0
 
 
 def test_step_right_continuity():
     curve = StepSurvival((1.0, 2.0), (0.6, 0.2), follow_up=3.0)
-    assert surv_at(curve, 1.0) == 0.6
-    assert surv_left(curve, 1.0) == 1.0
-    assert surv_at(curve, 2.0) == 0.2
-    assert surv_left(curve, 2.0) == 0.6
-    with pytest.raises(ValueError):
-        surv_at(curve, -0.1)
+    assert curve.at(1.0) == 0.6
+    assert curve.left(1.0) == 1.0
+    assert curve.at(2.0) == 0.2
+    assert curve.left(2.0) == 0.6
 
 
 def test_step_survival_validation():
@@ -154,7 +150,7 @@ def test_fit_exponential_edges():
     assert fit_exponential(TrialDataset((Subject(4.0, 0, 1),))).rates == (0.25,)
     flat = fit_exponential(TrialDataset((Subject(4.0, 0, 0), Subject(2.0, 1, 0))))
     assert flat.rates == (0.0,)
-    assert surv_at(flat, 100.0) == 1.0
+    assert flat.at(100.0) == 1.0
 
 
 def test_piecewise_single_far_breakpoint_equals_exponential(toy):
@@ -181,6 +177,9 @@ def test_piecewise_validation(toy):
         fit_piecewise_exponential(toy, (4.0, 2.0))
     with pytest.raises(ValueError, match="positive"):
         fit_piecewise_exponential(toy, (0.0, 2.0))
+    for cut in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            fit_piecewise_exponential(toy, (2.0, cut))
 
 
 rates_st = st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=4)
@@ -191,7 +190,7 @@ rates_st = st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_siz
 def test_parametric_cumhaz_and_monotonicity(rates, t):
     cuts = tuple(2.0 * (i + 1) for i in range(len(rates) - 1))
     curve = ParametricSurvival(cuts, tuple(rates))
-    assert surv_at(curve, 0.0) == 1.0
+    assert curve.at(0.0) == 1.0
     assert -math.log(max(curve.at(t), 1e-300)) == pytest.approx(
         curve.cumulative_hazard(t), abs=1e-9
     )

@@ -5,11 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from survscore import (
-    PermutationPlan,
     WeightSpec,
     exact_perm_p,
     mc_perm_p,
-    permutation_p,
     wlrt_test,
 )
 from tests import oracles
@@ -68,6 +66,8 @@ def test_exact_bound_exceeded():
 def test_exact_requires_both_arms():
     with pytest.raises(ValueError, match="both arms"):
         exact_perm_p([1.0, 2.0], [1, 1], "lower")
+    with pytest.raises(ValueError, match="direction"):
+        exact_perm_p([1.0, 2.0], [0, 1], "sideways")
 
 
 @given(
@@ -103,6 +103,10 @@ def test_mc_deterministic_bit_for_bit(toy):
 
 def test_mc_constant_values():
     assert mc_perm_p([1.0] * 6, [0, 0, 0, 1, 1, 1], 500, 0, "lower").p == 1.0
+    with pytest.raises(ValueError, match="direction"):
+        mc_perm_p([1.0] * 6, [0, 0, 0, 1, 1, 1], 500, 0, "sideways")
+    with pytest.raises(ValueError, match="replicate"):
+        mc_perm_p([1.0] * 6, [0, 0, 0, 1, 1, 1], 0, 0, "lower")
 
 
 def test_mc_close_to_exact(toy):
@@ -123,21 +127,3 @@ def test_mc_convergence_across_seeds(toy):
     )
     assert hits >= 99
 
-
-def test_plan_dispatch(toy):
-    scores = wlrt_test(toy, WeightSpec.logrank()).per_subject
-    exact = permutation_p(scores.raw, toy.arms, PermutationPlan(mode="exact"))
-    assert exact == 252 / 924
-    mc = permutation_p(
-        scores.raw, toy.arms, PermutationPlan(mode="monte_carlo", replicates=500, seed=5)
-    )
-    assert mc.replicates == 500
-
-
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        PermutationPlan(mode="bootstrap")
-    with pytest.raises(ValueError):
-        PermutationPlan(direction="sideways")
-    with pytest.raises(ValueError):
-        PermutationPlan(replicates=0)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from survscore import (
@@ -43,6 +45,13 @@ def test_estimand_spec_validation():
         EstimandSpec(kind="wmst", tau1=5.0, tau2=5.0)
     with pytest.raises(ValueError):
         EstimandSpec(kind="rmst", tau=1.0, backend="spline")
+    for bad in (math.nan, math.inf):
+        for spec in (dict(kind="rmst", tau=bad), dict(kind="ahsw", tau=bad),
+                     dict(kind="milestone", kappa=bad), dict(kind="wmst", tau1=bad, tau2=3.0),
+                     dict(kind="wmst", tau1=0.0, tau2=bad),
+                     dict(kind="rmst", tau=1.0, breakpoints=(2.0, bad))):
+            with pytest.raises(ValueError, match="finite"):
+                EstimandSpec(**spec)
     # tau1 = 0 is a legal window start
     EstimandSpec(kind="wmst", tau1=0.0, tau2=3.0)
 

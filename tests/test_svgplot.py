@@ -106,6 +106,12 @@ def test_render_empty():
         render_svg([])
 
 
+def test_render_rejects_columns_below_one(toy):
+    for columns in (0, -2):
+        with pytest.raises(ValueError, match="columns"):
+            render_svg([toy_panel(toy)], columns=columns)
+
+
 def test_nice_ceiling():
     assert nice_ceiling(34.64) == 40.0
     assert nice_ceiling(9.9) == 10.0
