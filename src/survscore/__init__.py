@@ -15,7 +15,6 @@ from .curves import (
     fit_exponential,
     fit_piecewise_exponential,
     km_fit,
-    km_loo,
     rmst,
 )
 from .dataset import (
@@ -83,7 +82,6 @@ __all__ = [
     "fit_piecewise_exponential",
     "inject_censoring",
     "km_fit",
-    "km_loo",
     "mc_perm_p",
     "mean_score_diff",
     "milestone_test",

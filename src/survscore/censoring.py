@@ -1,5 +1,7 @@
 """Artificial independent censoring: overlay a uniform censoring time."""
 
+import math
+
 from .dataset import Subject, TrialDataset
 from .rng import SplitMix64
 
@@ -10,10 +12,11 @@ def inject_censoring(ds: TrialDataset, c_max: float, seed: int) -> TrialDataset:
     One draw per subject in dataset order (same generator as the
     permutation module).  A subject whose time equals the draw exactly
     keeps the event.  Output times never exceed input times; events can
-    only flip 1 -> 0; arms are untouched.
+    only flip 1 -> 0; arms are untouched.  ``c_max`` must be finite and
+    positive.
     """
-    if c_max <= 0:
-        raise ValueError("censoring bound must be positive")
+    if not (math.isfinite(c_max) and c_max > 0):
+        raise ValueError("censoring bound must be finite and positive")
     rng = SplitMix64(seed)
     out = []
     for s in ds.subjects:

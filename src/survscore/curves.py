@@ -9,7 +9,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .dataset import TrialDataset, build_risk_table
+from .dataset import RiskTable, TrialDataset, build_risk_table
 
 
 @dataclass(frozen=True)
@@ -97,28 +97,18 @@ SurvivalCurve = StepSurvival | ParametricSurvival
 
 def km_fit(ds: TrialDataset) -> StepSurvival:
     """Product-limit estimate over the dataset's risk table."""
-    rt = build_risk_table(ds)  # raises when there are no events
+    return km_from_table(build_risk_table(ds))  # raises when there are no events
+
+
+def km_from_table(rt: RiskTable) -> StepSurvival:
+    """Product-limit estimate over a risk table the caller already holds."""
     jumps, values = [], []
     surv = 1.0
     for row in rt.rows:
         surv *= 1.0 - row.d / row.n
         jumps.append(row.time)
         values.append(surv)
-    return StepSurvival(tuple(jumps), tuple(values), ds.follow_up)
-
-
-def km_loo(ds: TrialDataset, k: int) -> StepSurvival:
-    """Kaplan-Meier refit with subject ``k`` removed.
-
-    Kept as a plain refit on purpose: anything cleverer must match this
-    result to 1e-12, so there is nothing to gain at these sample sizes.
-    """
-    if ds.n < 2:
-        raise ValueError("leave-one-out needs at least 2 subjects")
-    reduced = ds.without(k)
-    if reduced.n_events == 0:
-        raise ValueError(f"degenerate leave-one-out: removing subject {k} leaves no events")
-    return km_fit(reduced)
+    return StepSurvival(tuple(jumps), tuple(values), rt.source.follow_up)
 
 
 def rmst(curve: SurvivalCurve, tau: float) -> float:
@@ -179,9 +169,8 @@ def fit_exponential(ds: TrialDataset) -> ParametricSurvival:
 def fit_piecewise_exponential(ds: TrialDataset, breakpoints) -> ParametricSurvival:
     """Per-interval constant-hazard MLE over right-closed intervals.
 
-    A subject contributes min(time, interval end) - interval start of
-    person-time to every interval it enters; an event belongs to the
-    interval containing its time.  Zero person-time gives rate 0.
+    Events over person-time per interval, as ``interval_exposure`` counts
+    them.  Zero person-time gives rate 0.
     """
     if ds.n == 0:
         raise ValueError("cannot fit an empty dataset")
@@ -190,20 +179,26 @@ def fit_piecewise_exponential(ds: TrialDataset, breakpoints) -> ParametricSurviv
         raise ValueError("breakpoints must be finite")
     if any(c <= 0 for c in cuts) or any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError("breakpoints must be positive and strictly ascending")
-    n_intervals = len(cuts) + 1
-    person_time = [0.0] * n_intervals
-    events = [0] * n_intervals
-    bounds = cuts + (math.inf,)
-    for s in ds.subjects:
-        start = 0.0
-        for b, end in enumerate(bounds):
-            if s.time > start:
-                person_time[b] += min(s.time, end) - start
-            if start < s.time <= end:
-                events[b] += s.event
-            start = end
-    rates = tuple(
-        events[b] / person_time[b] if person_time[b] > 0 else 0.0
-        for b in range(n_intervals)
-    )
-    return ParametricSurvival(cuts, rates)
+    rates = []
+    for person_time, events in interval_exposure(ds, cuts):
+        total = sum(person_time)
+        rates.append(sum(events) / total if total > 0 else 0.0)
+    return ParametricSurvival(cuts, tuple(rates))
+
+
+def interval_exposure(ds: TrialDataset, cuts: tuple[float, ...]):
+    """Each subject's person-time and event in every interval between ``cuts``.
+
+    One (person-time, events) pair of per-subject lists, in dataset order,
+    per right-closed interval (0, c1], (c1, c2], ..., (c_last, inf).  A
+    subject contributes min(time, interval end) - interval start of
+    person-time to every interval it enters; its event belongs to the
+    interval containing its time.
+    """
+    return [
+        (
+            [min(s.time, end) - start if s.time > start else 0.0 for s in ds.subjects],
+            [s.event if start < s.time <= end else 0 for s in ds.subjects],
+        )
+        for start, end in zip((0.0,) + cuts, cuts + (math.inf,))
+    ]

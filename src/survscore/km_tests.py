@@ -6,7 +6,7 @@ EstimandSpec.  A variance term at an event time where everyone at risk dies
 divides by zero; such terms are dropped and a warning is attached.
 """
 
-from .curves import km_fit, rmst
+from .curves import km_from_table, rmst
 from .dataset import TrialDataset, build_risk_table, split_by_arm
 from .logrank import TestResult, one_sided_p, z_value
 from .pseudo import EstimandSpec
@@ -15,15 +15,16 @@ from .pseudo import EstimandSpec
 def _arm_fits(ds: TrialDataset, horizon: float, what: str):
     ds.require_two_arms()
     arm0, arm1 = split_by_arm(ds)
-    curves = []
+    fits = []
     for label, sub in (("arm 0", arm0), ("arm 1", arm1)):
-        curve = km_fit(sub)
+        rt = build_risk_table(sub)
+        curve = km_from_table(rt)
         if horizon > curve.follow_up:
             raise ValueError(
                 f"{what} {horizon:g} beyond follow-up {curve.follow_up:g} on {label}"
             )
-        curves.append((sub, curve))
-    return curves
+        fits.append((rt.rows, curve))
+    return fits
 
 
 def _integrals_from(curve, event_times, tau):
@@ -64,8 +65,7 @@ def _difference_test(ds, spec, what, method, functional, coefficients) -> TestRe
 
     variance = 0.0
     warnings = []
-    for (sub, curve), label in zip(fits, ("arm 0", "arm 1")):
-        rows = build_risk_table(sub).rows
+    for (rows, curve), label in zip(fits, ("arm 0", "arm 1")):
         for row, c in zip(rows, coefficients(curve, rows)):
             if row.time > horizon:
                 continue

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
-from .curves import StepSurvival, km_fit
+from .curves import StepSurvival, km_from_table
 from .dataset import RiskTable, TrialDataset, build_risk_table
 
 WEIGHT_KINDS = ("logrank", "fleming_harrington", "modest")
@@ -242,7 +242,7 @@ def score_chain(ds: TrialDataset, spec: WeightSpec):
     and the curve come along for callers that tabulate or test with them.
     """
     rt = build_risk_table(ds)
-    pooled = km_fit(ds)
+    pooled = km_from_table(rt)
     weights = compute_weights(rt, pooled, spec)
     return rt, pooled, standardize(compute_scores(rt, weights, spec))
 

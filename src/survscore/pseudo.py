@@ -9,16 +9,20 @@ either each arm separately (the default) or the pooled sample.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .curves import (
+    ParametricSurvival,
     SurvivalCurve,
     fit_exponential,
     fit_piecewise_exponential,
-    km_fit,
+    interval_exposure,
+    km_from_table,
     rmst,
 )
-from .dataset import TrialDataset, split_by_arm
+from .dataset import RiskTable, TrialDataset, build_risk_table, split_by_arm
 from .logrank import TestResult, mean_score_diff, one_sided_p, perm_moments, z_value
 
 ESTIMAND_KINDS = ("rmst", "milestone", "wmst", "ahsw")
@@ -128,28 +132,16 @@ class PseudoSet:
     scaled: tuple[float, ...] | None = None
 
 
-def _fit(ds: TrialDataset, spec: EstimandSpec) -> SurvivalCurve:
-    if spec.backend == "km":
-        curve = km_fit(ds)
-        if spec.horizon > curve.follow_up:
-            raise ValueError(
-                f"horizon {spec.horizon:g} beyond follow-up {curve.follow_up:g}"
-            )
-        return curve
-    if spec.backend == "exponential":
-        return fit_exponential(ds)
-    return fit_piecewise_exponential(ds, spec.breakpoints)
-
-
-def _functional(curve: SurvivalCurve, spec: EstimandSpec) -> float:
+def _functional(at, integral, spec: EstimandSpec) -> float:
+    """The estimand from a fit's survival function S(h) and its integral over [0, h]."""
     if spec.kind == "rmst":
-        return rmst(curve, spec.tau)
+        return integral(spec.tau)
     if spec.kind == "milestone":
-        return curve.at(spec.kappa)
+        return at(spec.kappa)
     if spec.kind == "wmst":
-        return rmst(curve, spec.tau2) - rmst(curve, spec.tau1)
-    cumulative_incidence = 1.0 - curve.at(spec.tau)
-    ratio = cumulative_incidence / rmst(curve, spec.tau)
+        return integral(spec.tau2) - integral(spec.tau1)
+    cumulative_incidence = 1.0 - at(spec.tau)
+    ratio = cumulative_incidence / integral(spec.tau)
     if not spec.log_scale:
         return ratio
     if cumulative_incidence == 0.0:
@@ -157,15 +149,151 @@ def _functional(curve: SurvivalCurve, spec: EstimandSpec) -> float:
     return math.log(ratio)
 
 
-def _estimate(ds: TrialDataset, spec: EstimandSpec, context: str) -> float:
-    try:
-        return _functional(_fit(ds, spec), spec)
-    except ValueError as exc:
-        raise ValueError(f"{exc} ({context})") from None
+def _curve_functional(curve: SurvivalCurve, spec: EstimandSpec) -> float:
+    return _functional(curve.at, lambda h: rmst(curve, h), spec)
+
+
+def _check_follow_up(spec: EstimandSpec, follow_up: float) -> None:
+    if spec.horizon > follow_up:
+        raise ValueError(f"horizon {spec.horizon:g} beyond follow-up {follow_up:g}")
+
+
+def _km_leave_one_out(rt: RiskTable, spec: EstimandSpec):
+    """Leave-one-out functionals of a Kaplan-Meier fit, by position in ``rt.source``.
+
+    Removing subject k (time t, event e) lowers the at-risk count by 1 at
+    every event time <= t and the event count by e at t; the rows after t
+    keep their factors 1 - d/n.  So the leave-one-out curve is a product of
+    "shifted" factors 1 - d/(n - 1) up to the row before t, one factor for
+    the last row at or before t (1, as if the row were absent, when no event
+    is left there), and the full fit's own factors after it.  Prefix
+    products and integrals of the shifted curve, plus per-horizon suffix
+    products and integrals of the full fit's factors (accumulated
+    backwards, so nothing is divided and S = 0 is safe), give every
+    subject's S(h) and RMST(h) in O(1) after one bisect.  Level j of a
+    curve is its value after j jumps, on [start_j, t_j), with start_0 = 0.
+    """
+    rows, times = rt.rows, rt.event_times
+    starts = (0.0,) + times
+    factors = [1.0 - row.d / row.n for row in rows]
+    ordered = sorted(s.time for s in rt.source.subjects)
+    # shifted level j, for every j < number of rows: a row before the last
+    # has a later death at risk, so n - 1 >= d there
+    shifted = [1.0]
+    for row in rows[:-1]:
+        shifted.append(shifted[-1] * (1.0 - row.d / (row.n - 1)))
+    # area[j]: integral of the shifted curve over [0, start_j)
+    area = list(accumulate(
+        (s * (t - start) for s, t, start in zip(shifted, times, starts)), initial=0.0
+    ))
+    suffixes = {}
+
+    def suffix(h):
+        """(last, integrals, through, products) for horizon h, built once per h.
+
+        ``last`` rows lie before h and ``through`` at or before it;
+        integrals[j] and products[j] are the integral over [start_j, h) and
+        the value at h of the curve that is 1 on level j and then takes the
+        full fit's factors.
+        """
+        if h not in suffixes:
+            last = bisect_left(times, h)
+            integrals = [h - starts[last]]
+            for j in reversed(range(last)):
+                integrals.append(times[j] - starts[j] + factors[j] * integrals[-1])
+            through = bisect_right(times, h)
+            products = [1.0]
+            for j in reversed(range(through)):
+                products.append(factors[j] * products[-1])
+            suffixes[h] = last, integrals[::-1], through, products[::-1]
+        return suffixes[h]
+
+    def estimate(position: int) -> float:
+        subject = rt.source.subjects[position]
+        # without the subject holding the unique largest time, follow-up
+        # ends at the second largest; with a tie it stays
+        _check_follow_up(spec, ordered[-2] if subject.time == ordered[-1] else ordered[-1])
+        pivot = bisect_right(times, subject.time)  # the level where the curves part
+        level = 1.0
+        if pivot:
+            row = rows[pivot - 1]
+            d = row.d - subject.event
+            level = shifted[pivot - 1] * (1.0 - d / (row.n - 1) if d else 1.0)
+
+        def at(h):
+            _, _, through, products = suffix(h)
+            return shifted[through] if pivot > through else level * products[pivot]
+
+        def integral(h):
+            last, integrals, _, _ = suffix(h)
+            if pivot > last:
+                return area[last] + shifted[last] * (h - starts[last])
+            return area[pivot] + level * integrals[pivot]
+
+        return _functional(at, integral, spec)
+
+    return estimate
+
+
+def _totals_without_each(xs: list[float]) -> list[float]:
+    """sum(xs) without xs[i], for every i, as a prefix plus a suffix sum.
+
+    Nothing is subtracted, so there is no cancellation, and a total left
+    with only zeros is exactly 0.0.
+    """
+    prefix = list(accumulate(xs, initial=0.0))
+    suffix = list(accumulate(reversed(xs), initial=0.0))[::-1]
+    return [p + s for p, s in zip(prefix, suffix[1:])]
+
+
+def _parametric_leave_one_out(ds: TrialDataset, cuts: tuple[float, ...], spec: EstimandSpec):
+    """Leave-one-out functionals of a piecewise-exponential fit, by position in ``ds``.
+
+    Hazards are constant between ``cuts``; with no cuts this is the
+    exponential fit.  Subject k's fit keeps every interval's person-time
+    and events of the others; an interval no other subject reaches gets
+    person-time 0 and rate 0, as in a refit.
+    """
+    columns = [
+        (_totals_without_each(person_time), sum(events), events)
+        for person_time, events in interval_exposure(ds, cuts)
+    ]
+
+    def estimate(position: int) -> float:
+        rates = []
+        for person_time, total_events, events in columns:
+            time = person_time[position]
+            rates.append((total_events - events[position]) / time if time > 0 else 0.0)
+        return _curve_functional(ParametricSurvival(cuts, tuple(rates)), spec)
+
+    return estimate
+
+
+def _fit_group(ds: TrialDataset, spec: EstimandSpec):
+    """One fitting group's full-sample functional, and its leave-one-out one.
+
+    The second is a function of the subject's position in ``ds``.
+    """
+    if spec.backend == "km":
+        rt = build_risk_table(ds)
+        curve = km_from_table(rt)
+        _check_follow_up(spec, curve.follow_up)
+        return _curve_functional(curve, spec), _km_leave_one_out(rt, spec)
+    if spec.backend == "exponential":
+        full = fit_exponential(ds)
+        cuts = ()
+    else:
+        full = fit_piecewise_exponential(ds, spec.breakpoints)
+        cuts = full.breakpoints
+    return _curve_functional(full, spec), _parametric_leave_one_out(ds, cuts, spec)
 
 
 def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
-    """Jackknife pseudo-values for every subject, in dataset order."""
+    """Jackknife pseudo-values for every subject, in dataset order.
+
+    Each fitting group is fitted once; the leave-one-out functionals come
+    from downdating that fit, exactly, rather than from n refits.
+    """
     if spec.pooling == "arm":
         arm0, arm1 = split_by_arm(ds)
         groups = [
@@ -183,15 +311,21 @@ def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
         n = len(indices)
         if n < 2:
             raise ValueError(f"fitting group {label} needs at least 2 subjects, has {n}")
-        full = _estimate(subset, spec, f"full fit, group {label}")
+        try:
+            full, leave_one_out = _fit_group(subset, spec)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (full fit, group {label})") from None
         functionals[label] = full
+        n_events = subset.n_events
         for position, k in enumerate(indices):
-            reduced = subset.without(position)
-            if spec.backend == "km" and reduced.n_events == 0:
+            if spec.backend == "km" and n_events - subset.subjects[position].event == 0:
                 raise ValueError(
                     f"degenerate leave-one-out: removing subject {k} leaves no events"
                 )
-            estimate = _estimate(reduced, spec, f"after removing subject {k}")
+            try:
+                estimate = leave_one_out(position)
+            except ValueError as exc:
+                raise ValueError(f"{exc} (after removing subject {k})") from None
             loo[k] = estimate
             values[k] = n * full - (n - 1) * estimate
 

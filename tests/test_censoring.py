@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,5 +55,6 @@ def test_event_kept_when_time_equals_draw():
 
 def test_bad_bound():
     ds = TrialDataset((Subject(1.0, 0, 1),))
-    with pytest.raises(ValueError, match="positive"):
-        inject_censoring(ds, 0.0, 0)
+    for bound in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            inject_censoring(ds, bound, 0)

@@ -177,6 +177,13 @@ def test_censor_deterministic(toy_csv_path, tmp_path):
     assert all(float(r["time"]) <= 34.64 for r in rows)
 
 
+def test_censor_rejects_non_finite_bound(toy_csv_path, capsys):
+    for bound in ("nan", "inf", "0"):
+        assert run("censor", "--input", str(toy_csv_path), "--max", bound) == 1
+        err = capsys.readouterr().err
+        assert err == "error: censoring bound must be finite and positive\n"
+
+
 def test_plot_writes_svg_and_sibling_csv(toy_csv_path, tmp_path):
     out = tmp_path / "panel.svg"
     assert run(

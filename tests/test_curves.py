@@ -12,7 +12,6 @@ from survscore import (
     fit_exponential,
     fit_piecewise_exponential,
     km_fit,
-    km_loo,
     rmst,
     split_by_arm,
 )
@@ -49,38 +48,6 @@ def test_km_product_identity_on_random_data():
         assert curve.jump_times == tuple(t for t, _ in steps)
         for (t, v), got in zip(steps, curve.values):
             assert got == pytest.approx(v, abs=1e-12)
-
-
-def test_km_loo_matches_plain_refit(toy):
-    for seed in range(10):
-        ds = random_dataset(seed, max_n=20)
-        for k in range(ds.n):
-            reduced = ds.without(k)
-            if reduced.n_events == 0:
-                continue
-            assert km_loo(ds, k) == km_fit(reduced)
-
-
-def test_km_loo_toy_arm1_refits(toy):
-    arm1 = split_by_arm(toy)[1]
-    by_time = {s.time: k for k, s in enumerate(arm1.subjects)}
-    assert rmst(km_loo(arm1, by_time[6.12]), 18.0) == pytest.approx(16.822, abs=1e-3)
-    assert rmst(km_loo(arm1, by_time[33.21]), 18.0) == pytest.approx(14.446, abs=1e-3)
-
-
-def test_km_loo_two_subjects():
-    ds = TrialDataset((Subject(1.0, 0, 1), Subject(2.0, 0, 1)))
-    curve = km_loo(ds, 0)
-    assert curve.jump_times == (2.0,)
-    assert curve.values == (0.0,)
-
-
-def test_km_loo_degenerate():
-    ds = TrialDataset((Subject(1.0, 0, 1), Subject(2.0, 0, 0)))
-    with pytest.raises(ValueError, match="degenerate leave-one-out"):
-        km_loo(ds, 0)
-    with pytest.raises(ValueError, match="at least 2"):
-        km_loo(TrialDataset((Subject(1.0, 0, 1),)), 0)
 
 
 def test_rmst_toy_arms(toy):

@@ -202,17 +202,67 @@ def test_scaled_statistic_is_negative_affine_image(toy):
     )
 
 
+def _dataset(rows):
+    return TrialDataset(tuple(Subject(t, arm, event) for t, arm, event in rows))
+
+
+def _estimands(tau, kappa, tau1, log_scale=True):
+    return [
+        ("rmst", {"tau": tau}),
+        ("milestone", {"kappa": kappa}),
+        ("wmst", {"tau1": tau1, "tau2": tau}),
+        ("ahsw", {"tau": tau, "log_scale": log_scale}),
+    ]
+
+
+# Tied inputs, where a leave-one-out downdate differs from a plain refit in
+# its bookkeeping.  (time, arm, event) rows; cuts are (2, 4, 6, 8).
+TIED_INPUTS = [
+    # d = 3 at t = 2 pooled (2 on arm 0); censorings at the event times 3 and
+    # 4; arm 0 ends in a tie at 9, arm 1 in a unique censoring at 11, so
+    # removing it leaves arm-1 follow-up 7.5 = tau
+    (
+        _dataset([
+            (1.0, 0, 1), (2.0, 0, 1), (2.0, 0, 1), (3.0, 0, 0), (3.0, 0, 1),
+            (5.0, 0, 1), (6.0, 0, 0), (7.0, 0, 1), (9.0, 0, 1), (9.0, 0, 0),
+            (1.5, 1, 1), (2.0, 1, 1), (2.5, 1, 0), (4.0, 1, 1), (4.0, 1, 0),
+            (5.5, 1, 1), (7.5, 1, 1), (11.0, 1, 0),
+        ]),
+        _estimands(tau=7.5, kappa=4.0, tau1=2.0),
+    ),
+    # the event at 10 is the unique maximum, and the only subject in the
+    # intervals (6, 8] and (8, inf), per arm and pooled: without it both
+    # get person-time 0 and rate 0
+    (
+        _dataset([
+            (0.5, 0, 1), (1.0, 0, 1), (1.0, 0, 1), (3.0, 0, 1), (3.0, 0, 0),
+            (5.0, 0, 1), (6.0, 0, 0), (6.0, 0, 0),
+            (1.0, 1, 1), (2.5, 1, 1), (2.5, 1, 0), (4.5, 1, 1), (6.0, 1, 1), (10.0, 1, 1),
+        ]),
+        _estimands(tau=6.0, kappa=2.5, tau1=1.0),
+    ),
+    # two subjects: without the later one the curve drops to S = 0 at 1;
+    # without the earlier one S(1) = 1, so log-AHSW is undefined there
+    (
+        _dataset([(1.0, 0, 1), (2.0, 0, 1)]),
+        _estimands(tau=1.0, kappa=1.0, tau1=0.5, log_scale=False),
+    ),
+]
+
+
 @pytest.mark.parametrize("backend", ["km", "exponential", "piecewise"])
 @pytest.mark.parametrize("pooling", ["arm", "pooled"])
 def test_jackknife_matches_naive_oracle(backend, pooling):
+    inputs = list(TIED_INPUTS)
     for seed in (11, 23):
         ds, tau = pseudo_friendly_dataset(seed)
-        spec = EstimandSpec(
-            kind="rmst", tau=tau, backend=backend, breakpoints=(2, 4, 6, 8), pooling=pooling
-        )
-        got = pseudo_values(ds, spec).values
-        want = oracles.jackknife_pseudo(
-            ds, "rmst", backend, pooling, cuts=(2, 4, 6, 8), tau=tau
-        )
-        for g, w in zip(got, want):
-            assert g == pytest.approx(w, abs=1e-9)
+        inputs.append((ds, _estimands(tau=tau, kappa=0.7 * tau, tau1=0.3 * tau)))
+    for ds, estimands in inputs:
+        for kind, params in estimands:
+            spec = EstimandSpec(
+                kind=kind, backend=backend, breakpoints=(2, 4, 6, 8), pooling=pooling, **params
+            )
+            got = pseudo_values(ds, spec).values
+            want = oracles.jackknife_pseudo(ds, kind, backend, pooling, cuts=(2, 4, 6, 8), **params)
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, abs=1e-9)
