@@ -1,10 +1,10 @@
 """Command-line workbench: estimation, scoring, testing, censoring, plots.
 
-Subcommands: km, scores, pseudo, test, censor, plot, compare.  Tabular
-output is CSV (or JSON with --format json) on stdout unless --output is
-given; test results are JSON; plot and compare write an SVG plus a sibling
-CSV of the plotted coordinates.  Numbers are printed with 6 significant
-digits.
+Subcommands: km, scores, pseudo, test, censor, plot, compare.  Output goes
+to stdout unless --output is given: km, scores and pseudo print CSV (or
+JSON with --format json), test prints JSON and censor CSV; plot and compare
+write an SVG plus a sibling CSV of the plotted coordinates.  Numbers are
+printed with 6 significant digits.
 """
 
 import argparse
@@ -26,10 +26,6 @@ from .svgplot import PlotPanel, render_svg
 
 BACKEND_FLAGS = {"km": "km", "exp": "exponential", "pwexp": "piecewise"}
 DEFAULT_BREAKPOINTS = (2.0, 4.0, 6.0, 8.0)
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.6g}"
 
 
 def _jsonable(x):
@@ -59,11 +55,12 @@ def _tabulate(rows, columns, fmt) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        cells = (row[c] for c in columns)
-        writer.writerow(
-            ["" if v is None else _fmt(v) if isinstance(v, float) else v for v in cells]
-        )
+    # column by column: a comprehension per row costs more than its formatting
+    cells = (
+        ["" if v is None else f"{v:.6g}" if isinstance(v, float) else v for v in column]
+        for column in ([row[c] for row in rows] for c in columns)
+    )
+    writer.writerows(zip(*cells))
     return buffer.getvalue()
 
 
@@ -175,16 +172,15 @@ def _build_panel(ds: TrialDataset, spec) -> PlotPanel:
     return PlotPanel.from_values(spec.describe(), ds.times, values, ds.arms, ds.events)
 
 
-def _panel_csv(panels_with_points, with_method: bool) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    header = ["time", "arm", "event", "scaled_value"]
-    writer.writerow((["method"] if with_method else []) + header)
-    for panel in panels_with_points:
-        for p in panel.points:
-            row = [_fmt(p.time), p.arm, 0 if p.censored else 1, _fmt(p.value)]
-            writer.writerow(([panel.title] if with_method else []) + row)
-    return buffer.getvalue()
+def _panel_csv(panels, with_method: bool) -> str:
+    rows = [
+        {"method": panel.title, "time": p.time, "arm": p.arm, "event": 0 if p.censored else 1,
+         "scaled_value": p.value}
+        for panel in panels
+        for p in panel.points
+    ]
+    columns = (["method"] if with_method else []) + ["time", "arm", "event", "scaled_value"]
+    return _tabulate(rows, columns, "csv")
 
 
 def cmd_km(args) -> int:
@@ -319,12 +315,8 @@ def cmd_test(args) -> int:
 def cmd_censor(args) -> int:
     ds = _load(args)
     censored = inject_censoring(ds, args.max, args.seed)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["time", "arm", "event"])
-    for s in censored.subjects:
-        writer.writerow([_fmt(s.time), s.arm, s.event])
-    _emit(buffer.getvalue(), args)
+    rows = [{"time": s.time, "arm": s.arm, "event": s.event} for s in censored.subjects]
+    _emit(_tabulate(rows, ["time", "arm", "event"], "csv"), args)
     return 0
 
 
@@ -377,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="input CSV (time,arm,event)")
     common.add_argument("--output", default=None, help="output path (default: stdout)")
-    common.add_argument("--format", choices=["csv", "json"], default="csv")
+    tabular = argparse.ArgumentParser(add_help=False)
+    tabular.add_argument("--format", choices=["csv", "json"], default="csv")
 
     parser = argparse.ArgumentParser(
         prog="survscore",
@@ -385,15 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("km", parents=[common], help="Kaplan-Meier curves as CSV")
+    p = sub.add_parser("km", parents=[common, tabular], help="Kaplan-Meier curves as CSV")
     p.add_argument("--pooled", action="store_true", help="pool both arms into one curve")
     p.set_defaults(func=cmd_km)
 
-    p = sub.add_parser("scores", parents=[common], help="weighted log-rank scores per subject")
+    p = sub.add_parser("scores", parents=[common, tabular],
+                       help="weighted log-rank scores per subject")
     _add_weight_flags(p, with_selector=True)
     p.set_defaults(func=cmd_scores)
 
-    p = sub.add_parser("pseudo", parents=[common], help="jackknife pseudo-values per subject")
+    p = sub.add_parser("pseudo", parents=[common, tabular],
+                       help="jackknife pseudo-values per subject")
     _add_estimand_flags(p, required=True)
     p.set_defaults(func=cmd_pseudo)
 

@@ -69,10 +69,6 @@ class ParametricSurvival:
         if any(r < 0 or not math.isfinite(r) for r in self.rates):
             raise ValueError("rates must be finite and nonnegative")
 
-    @property
-    def kind(self) -> str:
-        return "exponential" if not self.breakpoints else "piecewise-exponential"
-
     def cumulative_hazard(self, t: float) -> float:
         if t < 0:
             raise ValueError("time must be nonnegative")
@@ -87,9 +83,6 @@ class ParametricSurvival:
 
     def at(self, t: float) -> float:
         return math.exp(-self.cumulative_hazard(t))
-
-    def left(self, t: float) -> float:
-        return self.at(t)  # continuous
 
 
 SurvivalCurve = StepSurvival | ParametricSurvival
@@ -160,10 +153,7 @@ def _rmst_parametric(curve: ParametricSurvival, tau: float) -> float:
 
 def fit_exponential(ds: TrialDataset) -> ParametricSurvival:
     """Constant-hazard MLE: events divided by total observed time."""
-    if ds.n == 0:
-        raise ValueError("cannot fit an empty dataset")
-    total_time = sum(s.time for s in ds.subjects)
-    return ParametricSurvival((), (ds.n_events / total_time,))
+    return fit_piecewise_exponential(ds, ())
 
 
 def fit_piecewise_exponential(ds: TrialDataset, breakpoints) -> ParametricSurvival:

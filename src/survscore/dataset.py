@@ -90,14 +90,12 @@ class RiskRow:
     """Counts at one distinct event time.
 
     ``at_risk`` counts subjects with time >= this row's time, so a subject
-    censored exactly here is still in the risk set (and censored in the
-    half-open interval starting here).
+    censored exactly here is still in the risk set.
     """
 
     time: float
     at_risk: tuple[int, int]  # per arm, just prior to this time
     events: tuple[int, int]  # per arm, at this time
-    censored_after: tuple[int, int]  # per arm, in [time, next event time)
 
     @property
     def n(self) -> int:
@@ -117,7 +115,6 @@ class RiskTable:
     """
 
     rows: tuple[RiskRow, ...]
-    censored_before_first: tuple[int, int]  # per arm, strictly before row 0
     source: TrialDataset
     event_times: tuple[float, ...]  # the rows' times, kept for bisecting
 
@@ -179,22 +176,12 @@ def build_risk_table(ds: TrialDataset) -> RiskTable:
     )
     event_counts = Counter((s.arm, s.time) for s in ds.subjects if s.event == 1)
 
-    # Interval index of each censored subject: j means [t_j, t_{j+1}), 0 means
-    # strictly before the first event time.
-    censored_in = [Counter(), Counter()]
-    for s in ds.subjects:
-        if s.event == 0:
-            censored_in[s.arm][bisect_right(event_times, s.time)] += 1
-
     rows = []
-    for j, t in enumerate(event_times, start=1):
+    for t in event_times:
         at_risk = tuple(len(ts) - bisect_left(ts, t) for ts in arm_times)
         events = (event_counts.get((0, t), 0), event_counts.get((1, t), 0))
-        censored = (censored_in[0].get(j, 0), censored_in[1].get(j, 0))
-        rows.append(RiskRow(t, at_risk, events, censored))
-
-    before_first = (censored_in[0].get(0, 0), censored_in[1].get(0, 0))
-    return RiskTable(tuple(rows), before_first, ds, tuple(event_times))
+        rows.append(RiskRow(t, at_risk, events))
+    return RiskTable(tuple(rows), ds, tuple(event_times))
 
 
 def split_by_arm(ds: TrialDataset) -> tuple[TrialDataset, TrialDataset]:

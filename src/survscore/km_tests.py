@@ -6,6 +6,8 @@ EstimandSpec.  A variance term at an event time where everyone at risk dies
 divides by zero; such terms are dropped and a warning is attached.
 """
 
+from itertools import accumulate
+
 from .curves import km_from_table, rmst
 from .dataset import TrialDataset, build_risk_table, split_by_arm
 from .logrank import TestResult, one_sided_p, z_value
@@ -27,28 +29,17 @@ def _arm_fits(ds: TrialDataset, horizon: float, what: str):
     return fits
 
 
-def _integrals_from(curve, event_times, tau):
-    """integral of the curve from each event time (<= tau) up to tau.
+def _integrals_from(curve, tau):
+    """Integral of the curve from each of its jump times up to tau; 0 past tau.
 
-    One sweep over the step representation; event times past tau map to 0.
+    The total RMST(tau) minus the area up to each jump, the areas summed
+    over the curve's own steps.
     """
     total = rmst(curve, tau)
-    out = []
-    cum = 0.0  # integral of the curve over [0, t)
-    prev_t, surv = 0.0, 1.0
-    jumps = list(zip(curve.jump_times, curve.values))
-    pos = 0
-    for t in event_times:
-        if t > tau:
-            out.append(0.0)
-            continue
-        while pos < len(jumps) and jumps[pos][0] <= t:
-            jt, jv = jumps[pos]
-            cum += surv * (jt - prev_t)
-            prev_t, surv = jt, jv
-            pos += 1
-        out.append(total - (cum + surv * (t - prev_t)))
-    return out
+    jumps = curve.jump_times
+    steps = zip((1.0,) + curve.values, jumps, (0.0,) + jumps)
+    areas = accumulate(surv * (t - prev) for surv, t, prev in steps)
+    return [total - area if t <= tau else 0.0 for t, area in zip(jumps, areas)]
 
 
 def _difference_test(ds, spec, what, method, functional, coefficients) -> TestResult:
@@ -98,7 +89,7 @@ def rmst_test(ds: TrialDataset, tau: float) -> TestResult:
         "restriction time",
         f"RMST({tau:g}) difference [KM]",
         lambda curve: rmst(curve, tau),
-        lambda curve, rows: _integrals_from(curve, [r.time for r in rows], tau),
+        lambda curve, rows: _integrals_from(curve, tau),
     )
 
 

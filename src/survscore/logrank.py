@@ -71,8 +71,8 @@ class WeightSpec:
 class ScoreSet:
     """Per-subject raw scores in dataset order, plus the rescaling onto [-1, 1].
 
-    ``scaled`` and the affine coefficients are filled by standardize();
-    scale > 0, so subject ordering is preserved.
+    ``scaled`` is filled by standardize(), an increasing affine map, so
+    subject ordering is preserved.
     """
 
     source: TrialDataset
@@ -80,8 +80,6 @@ class ScoreSet:
     weights: tuple[float, ...]  # one per distinct event time
     raw: tuple[float, ...]  # one per subject
     scaled: tuple[float, ...] | None = None
-    scale: float | None = None
-    offset: float | None = None
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -134,19 +132,13 @@ def z_value(statistic: float, variance: float) -> float:
     return math.copysign(math.inf, statistic)
 
 
-def _pow_00_is_1(base: float, exponent: float) -> float:
-    return 1.0 if exponent == 0.0 else base**exponent
-
-
 def compute_weights(rt: RiskTable, pooled: StepSurvival, spec: WeightSpec) -> tuple[float, ...]:
     """Weight at each distinct event time, from the pooled-sample curve."""
     if spec.kind == "logrank":
         return (1.0,) * len(rt.rows)
     left = [pooled.left(row.time) for row in rt.rows]
     if spec.kind == "fleming_harrington":
-        return tuple(
-            _pow_00_is_1(s, spec.rho) * _pow_00_is_1(1.0 - s, spec.gamma) for s in left
-        )
+        return tuple(s**spec.rho * (1.0 - s) ** spec.gamma for s in left)  # 0.0**0.0 == 1.0
     return tuple(1.0 / max(s, spec.s_star) for s in left)
 
 
@@ -182,15 +174,13 @@ def compute_scores(rt: RiskTable, weights, spec: WeightSpec | None = None) -> Sc
     for w, row in zip(weights, rt.rows):
         running += w * row.d / row.n
         cum.append(running)
-    event_index = {row.time: j for j, row in enumerate(rt.rows)}
 
     raw = []
     for s in rt.source.subjects:
+        j = rt.interval_index(s.time)  # an event's own row is j - 1
         if s.event == 1:
-            j = event_index[s.time]
-            raw.append(weights[j] - cum[j])
+            raw.append(weights[j - 1] - cum[j - 1])
         else:
-            j = rt.interval_index(s.time)
             raw.append(0.0 if j == 0 else -cum[j - 1])
     return ScoreSet(rt.source, spec, tuple(weights), tuple(raw))
 
@@ -203,7 +193,7 @@ def standardize(scores: ScoreSet) -> ScoreSet:
     scale = 2.0 / (hi - lo)
     offset = 1.0 - scale * hi
     scaled = tuple(scale * a + offset for a in scores.raw)
-    return replace(scores, scaled=scaled, scale=scale, offset=offset)
+    return replace(scores, scaled=scaled)
 
 
 def perm_moments(values, n_arm1: int) -> tuple[float, float]:

@@ -16,7 +16,6 @@ from itertools import accumulate
 from .curves import (
     ParametricSurvival,
     SurvivalCurve,
-    fit_exponential,
     fit_piecewise_exponential,
     interval_exposure,
     km_from_table,
@@ -279,13 +278,9 @@ def _fit_group(ds: TrialDataset, spec: EstimandSpec):
         curve = km_from_table(rt)
         _check_follow_up(spec, curve.follow_up)
         return _curve_functional(curve, spec), _km_leave_one_out(rt, spec)
-    if spec.backend == "exponential":
-        full = fit_exponential(ds)
-        cuts = ()
-    else:
-        full = fit_piecewise_exponential(ds, spec.breakpoints)
-        cuts = full.breakpoints
-    return _curve_functional(full, spec), _parametric_leave_one_out(ds, cuts, spec)
+    cuts = spec.breakpoints if spec.backend == "piecewise" else ()  # exponential: no cuts
+    full = fit_piecewise_exponential(ds, cuts)
+    return _curve_functional(full, spec), _parametric_leave_one_out(ds, full.breakpoints, spec)
 
 
 def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:

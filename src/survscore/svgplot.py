@@ -134,15 +134,14 @@ def _panel_svg(panel: PlotPanel, x_max: float, offset_x: int, offset_y: int) -> 
     return out
 
 
-def render_svg(panels, columns: int = 3, x_max: float | None = None) -> str:
+def render_svg(panels, columns: int = 3) -> str:
     """Render panels on a shared time axis into one SVG document."""
     panels = list(panels)
     if not panels:
         raise ValueError("nothing to render")
     if columns < 1:
         raise ValueError(f"columns must be at least 1, got {columns}")
-    if x_max is None:
-        x_max = nice_ceiling(max(p.time for panel in panels for p in panel.points))
+    x_max = nice_ceiling(max(p.time for panel in panels for p in panel.points))
     columns = min(columns, len(panels))
     rows = (len(panels) + columns - 1) // columns
     width, height = columns * PANEL_W, rows * PANEL_H

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import re
@@ -342,3 +343,70 @@ def test_cli_contract_under_edge_flag_values(toy_csv_path, tmp_path, data):
     if code == 1:
         assert stderr.getvalue().startswith("error:")
         assert len(stderr.getvalue().strip().splitlines()) == 1
+
+
+# SHA-256 of stdout plus every written file (name and bytes, in name order) of
+# one run per subcommand on the toy CSV; any change to the printed bytes fails.
+GOLDEN_RUNS = {  # name -> (argv without --input, digest)
+    "km": (
+        ["km", "--pooled", "--format", "json"],
+        "a677fa6a6ea289b25965baf39510686e931fa533ea8ab608cbbdf86302f2ca60",
+    ),
+    "scores": (
+        ["scores", "--test", "fh", "--rho", "0", "--gamma", "1"],
+        "4778533138b9a595217d21646ca1e89a9f3b39e35f037b971e0899d00102e101",
+    ),
+    "pseudo": (
+        ["pseudo", "--estimand", "rmst", "--tau", "18", "--format", "json"],
+        "d8ecafd5888e46ddab36627f8e8a47948feaeb26212fd35ed80369f7e82ff873",
+    ),
+    "pseudo-pwexp": (
+        ["pseudo", "--estimand", "ahsw", "--tau", "18", "--backend", "pwexp",
+         "--pooling", "pooled", "--output", "pseudo.csv"],
+        "40a9470dff550a224ee56ab933992d28b524fab2e5b93747e5c98cd0023cf045",
+    ),
+    "test": (
+        ["test", "--method", "pseudo", "--estimand", "milestone", "--kappa", "18",
+         "--backend", "exp", "--perm", "exact"],
+        "05f4c56623bb47be413f1ecbb2a8c164c8d8e2aac3f9397dc176057281cd56ff",
+    ),
+    "test-mc": (
+        ["test", "--method", "mw", "--sstar", "0.5", "--perm", "mc", "--replicates", "500",
+         "--flip-direction"],
+        "b1f33ec311933240239d0c17339a9701ec55ca030c3b3e92a09bef0859ca2dd2",
+    ),
+    "censor": (
+        ["censor", "--max", "20", "--seed", "3"],
+        "5dfb23e7f1ad20769ce4d8ee8f3eafa2710af8e04488f735ba36b5cc5d854667",
+    ),
+    "plot": (
+        ["plot", "--spec", "wmst:tau1=6,tau2=18", "--output", "plot.svg"],
+        "be404bd5b19d3a064492e1006bf998964b9fce62b9bf6e37b46f56ed8952e311",
+    ),
+    "compare": (
+        ["compare", "--spec", "logrank", "--spec", "mw:sstar=0.5", "--spec",
+         "milestone:kappa=18,backend=pwexp", "--columns", "2", "--output", "cmp.svg"],
+        "0188b6c9a2bc1b1aef373b395fbb9e2cf6ec59f65c467b3bbeb993894f514e5d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_output_bytes_match_golden(name, toy_csv_path, tmp_path, capsys, monkeypatch):
+    argv, digest = GOLDEN_RUNS[name]
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--input", toy_csv_path.name) == 0
+    h = hashlib.sha256(capsys.readouterr().out.encode())
+    for path in sorted(tmp_path.iterdir()):
+        if path != toy_csv_path:
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == digest
+
+
+def test_format_only_on_tabular_subcommands(toy_csv_path, capsys):
+    assert run("km", "--input", str(toy_csv_path), "--format", "json") == 0
+    for argv in (["test", "--method", "logrank"], ["censor"]):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--input", str(toy_csv_path), "--format", "json")
+        assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err

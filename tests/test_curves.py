@@ -108,7 +108,7 @@ def test_step_survival_validation():
 
 def test_fit_exponential_toy(toy):
     fit = fit_exponential(toy)
-    assert fit.kind == "exponential"
+    assert fit.breakpoints == ()
     assert fit.rates[0] == pytest.approx(7 / 232.28, abs=1e-9)
     assert fit.rates[0] == pytest.approx(0.030136, abs=1e-6)
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,10 +82,8 @@ def test_risk_table_toy():
     first, last = rt.rows[0], rt.rows[-1]
     assert (first.time, first.n, first.d) == (4.38, 12, 1)
     assert (last.time, last.n, last.d) == (24.98, 6, 1)
-    # every subject accounted for: 7 events plus 5 interval-censored
+    # all 12 at risk at the first event time; 7 events, so 5 are censored
     assert sum(r.d for r in rt.rows) == 7
-    assert sum(sum(r.censored_after) for r in rt.rows) == 5
-    assert rt.censored_before_first == (0, 0)
 
 
 def test_risk_table_tied_events_collapse():
@@ -98,8 +98,7 @@ def test_risk_table_censored_at_event_time_stays_at_risk():
     ds = TrialDataset((Subject(2.0, 0, 1), Subject(2.0, 1, 0), Subject(3.0, 1, 1)))
     rt = build_risk_table(ds)
     assert rt.rows[0].at_risk == (1, 2)  # the censored subject counts at t=2
-    assert rt.rows[0].censored_after == (0, 1)
-    assert rt.rows[1].at_risk == (0, 1)
+    assert rt.rows[1].at_risk == (0, 1)  # and has left by t=3
 
 
 def test_risk_table_no_events():
@@ -130,6 +129,11 @@ def test_split_is_a_partition(ds):
     )
 
 
+def _censored_in(ds, arm, lo, hi):
+    """Censored subjects on ``arm`` with lo <= time < hi."""
+    return sum(1 for s in ds.subjects if s.arm == arm and not s.event and lo <= s.time < hi)
+
+
 @given(subjects_st)
 @settings(max_examples=60, deadline=None)
 def test_conservation_of_subjects(ds):
@@ -138,10 +142,10 @@ def test_conservation_of_subjects(ds):
             build_risk_table(ds)
         return
     rt = build_risk_table(ds)
+    bounds = [0.0] + [r.time for r in rt.rows] + [math.inf]
     for arm in (0, 1):
         accounted = sum(r.events[arm] for r in rt.rows)
-        accounted += sum(r.censored_after[arm] for r in rt.rows)
-        accounted += rt.censored_before_first[arm]
+        accounted += sum(_censored_in(ds, arm, lo, hi) for lo, hi in zip(bounds, bounds[1:]))
         assert accounted == sum(1 for s in ds.subjects if s.arm == arm)
 
 
@@ -159,7 +163,7 @@ def test_at_risk_counts_match_definition(ds):
     for cur, nxt in zip(rt.rows, rt.rows[1:]):
         for arm in (0, 1):
             assert nxt.at_risk[arm] == (
-                cur.at_risk[arm] - cur.events[arm] - cur.censored_after[arm]
+                cur.at_risk[arm] - cur.events[arm] - _censored_in(ds, arm, cur.time, nxt.time)
             )
 
 
@@ -173,4 +177,3 @@ def test_risk_table_invariant_under_row_permutation(ds, rnd):
     a = build_risk_table(ds)
     b = build_risk_table(TrialDataset(tuple(shuffled)))
     assert a.rows == b.rows
-    assert a.censored_before_first == b.censored_before_first

@@ -140,8 +140,12 @@ def test_arm1_score_sum_equals_u(seed):
 def test_standardize_toy(toy_parts):
     toy, rt, pooled = toy_parts
     scores = standardize(compute_scores(rt, (1.0,) * 7))
-    assert scores.scale == pytest.approx(1.152, abs=1e-3)
-    assert scores.offset == pytest.approx(-0.056, abs=1e-3)
+    hi, lo = max(scores.raw), min(scores.raw)
+    scale = 2.0 / (hi - lo)
+    offset = scores.scaled[scores.raw.index(hi)] - scale * hi
+    assert scale == pytest.approx(1.152, abs=1e-3)
+    assert offset == pytest.approx(-0.056, abs=1e-3)
+    assert scores.scaled == pytest.approx([scale * a + offset for a in scores.raw], abs=1e-12)
     assert max(scores.scaled) == pytest.approx(1.0, abs=1e-12)
     assert min(scores.scaled) == pytest.approx(-1.0, abs=1e-12)
     means = [
@@ -195,7 +199,8 @@ def test_mean_score_diff(toy_parts):
     assert diff == pytest.approx(-0.209 - 0.0973, abs=1e-3)
     # affine identity: the offset cancels, the slope factors out
     raw_diff = mean_score_diff(scores.raw, toy.arms)
-    assert diff == pytest.approx(scores.scale * raw_diff, abs=1e-12)
+    scale = 2.0 / (max(scores.raw) - min(scores.raw))
+    assert diff == pytest.approx(scale * raw_diff, abs=1e-12)
     assert mean_score_diff([1.0, 1.0], [0, 1]) == 0.0
     with pytest.raises(ValueError, match="both arms"):
         mean_score_diff([1.0, 2.0], [1, 1])
