@@ -9,6 +9,7 @@ printed with 6 significant digits.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from .curves import km_fit
 from .dataset import TrialDataset, parse_dataset, split_by_arm
 from .km_tests import milestone_test, rmst_test
 from .logrank import WeightSpec, score_chain, wlrt_test
-from .permutation import EXACT_ASSIGNMENT_LIMIT, exact_perm_p, mc_perm_p
+from .permutation import EXACT_HALF_SUMS_LIMIT, exact_perm_p, mc_perm_p
 from .pseudo import ESTIMAND_KINDS, EstimandSpec, pseudo_test, pseudo_values
 from .svgplot import PlotPanel, render_svg
 
@@ -398,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_flags(p, with_selector=False)
     _add_estimand_flags(p, required=False)
     p.add_argument("--perm", choices=["exact", "mc"], default=None,
-                   help=f"add a permutation p-value (exact up to {EXACT_ASSIGNMENT_LIMIT} "
-                        "assignments)")
+                   help=f"add a permutation p-value (exact up to {EXACT_HALF_SUMS_LIMIT} "
+                        "half-subset sums: balanced arms up to n = 40)")
     p.add_argument("--replicates", type=int, default=10_000, help="Monte-Carlo replicates")
     p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
     p.add_argument("--flip-direction", action="store_true",
@@ -425,8 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one per process: each build is a cyclic graph
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command in ("plot", "compare") and not args.output:
         print("error: plot and compare require --output", file=sys.stderr)
         return 2

@@ -4,7 +4,14 @@ With the arm-1 count fixed, the mean difference is strictly increasing in
 the arm-1 sum, so label assignments are compared through subset sums.  The
 inputs are converted to exact binary-rational integers first and, because
 equal-size subset sums shift identically under a constant offset, centered
-exactly; enumeration and counting are then pure integer arithmetic.
+exactly; counting is then pure integer arithmetic.
+
+The exact test counts by meet in the middle (Horowitz & Sahni, 1974): the
+subjects are split into two halves, each half's subset sums are listed by
+subset size, and pairs of half sums under a bound are counted by bisection.
+The work grows with the number of half sums (at most 2^ceil(n/2)), not with
+the C(n, n1) assignments; EXACT_HALF_SUMS_LIMIT caps the sums held for the
+larger half, and past it exact_perm_p refers to the Monte-Carlo test.
 
 Tie policy: sums within a tiny window (2^-41 of the value spread) of the
 observed sum count as ties, and ties score as "at least as extreme".  The
@@ -17,11 +24,13 @@ runs and schedules.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 from .rng import SplitMix64
 
-EXACT_ASSIGNMENT_LIMIT = 2_000_000
+EXACT_HALF_SUMS_LIMIT = 2**20  # sums held for the larger half: balanced arms up to n = 40
 _TIE_WINDOW_SHIFT = 41  # window = spread / 2, right-shifted by 40
 
 
@@ -80,55 +89,63 @@ def exact_perm_p(values, arms, direction: str = "lower") -> float:
     _check_direction(direction)
     n1 = _check_two_arms(values, arms)
     n = len(values)
-    total = math.comb(n, n1)
-    if total > EXACT_ASSIGNMENT_LIMIT:
+    if _half_sums_held(n, min(n1, n - n1)) > EXACT_HALF_SUMS_LIMIT:
         raise ValueError(
-            f"{total} assignments exceed the exact limit of {EXACT_ASSIGNMENT_LIMIT}; "
-            "use the Monte-Carlo test (mc_perm_p)"
+            f"exact counting for {n1} of {n} subjects on arm 1 would hold more than "
+            f"{EXACT_HALF_SUMS_LIMIT} half-subset sums; use the Monte-Carlo test (mc_perm_p)"
         )
     scaled, window = _integer_image(values)
     observed = sum(v for v, a in zip(scaled, arms) if a == 1)
-    count_le, count_ge = _subset_sum_counts(scaled, n1, observed, window)
-    count = count_le if direction == "lower" else count_ge
+    total = math.comb(n, n1)
+    if direction == "lower":
+        count = _count_at_most(scaled, n1, observed + window)
+    else:  # integer sums: >= observed - window is the complement of <= observed - window - 1
+        count = total - _count_at_most(scaled, n1, observed - window - 1)
     return count / total
 
 
-def _subset_sum_counts(scaled, n1, observed, window) -> tuple[int, int]:
-    """(#subsets with sum <= observed, #subsets with sum >= observed).
+def _half_sums_held(n, m) -> int:
+    """Subset sums of sizes 0..m over the larger half of n values (the
+    right half in _count_at_most).
 
-    Subsets of size n1 are enumerated in colexicographic order; each
-    successor updates the running sum in O(1) via prefix sums, so the
-    whole enumeration costs O(C(n, n1)) integer operations.
+    Stops adding once past the limit, so a huge n costs a few steps.
+    """
+    h = n - n // 2
+    held = c = 1
+    for k in range(min(m, h)):
+        c = c * (h - k) // (k + 1)
+        held += c
+        if held > EXACT_HALF_SUMS_LIMIT:
+            break
+    return held
+
+
+def _sums_by_size(values, m) -> list[list[int]]:
+    """Subset sums of values, as one list per subset size 0..m."""
+    by_size = [[0]] + [[] for _ in range(m)]
+    for i, v in enumerate(values):
+        for k in range(min(i + 1, m), 0, -1):  # downward, so each value is used once
+            by_size[k] += [s + v for s in by_size[k - 1]]
+    return by_size
+
+
+def _count_at_most(scaled, n1, bound) -> int:
+    """#(size-n1 subsets of scaled with sum <= bound), by meet in the middle.
+
+    Each size-n1 subset is a size-k subset of the left half plus a
+    size-(n1 - k) subset of the right half; for every left sum, one
+    bisect into the sorted right sums counts its partners.
     """
     n = len(scaled)
-    prefix = [0]
-    for v in scaled:
-        prefix.append(prefix[-1] + v)
-    lo_bound = observed + window  # sums <= this count as "lower or tied"
-    hi_bound = observed - window
-    combo = list(range(n1))
-    s = prefix[n1]
-    count_le = count_ge = 0
-    while True:
-        if s <= lo_bound:
-            count_le += 1
-        if s >= hi_bound:
-            count_ge += 1
-        # find the lowest position that can advance; below it the chosen
-        # indices form a packed run ending just under combo[j]
-        j = 0
-        while j < n1:
-            nxt = combo[j + 1] if j + 1 < n1 else n
-            if combo[j] + 1 < nxt:
-                break
-            j += 1
-        if j == n1:
-            return count_le, count_ge
-        cj = combo[j]
-        s += prefix[j] - (prefix[cj + 1] - prefix[cj - j]) + scaled[cj + 1]
-        for i in range(j):
-            combo[i] = i
-        combo[j] = cj + 1
+    if 2 * n1 > n:  # sum(S) <= bound  iff  -sum(complement of S) <= bound - total
+        return _count_at_most([-v for v in scaled], n - n1, bound - sum(scaled))
+    half = n // 2
+    left = _sums_by_size(scaled[:half], n1)
+    right = [sorted(sums) for sums in _sums_by_size(scaled[half:], n1)]
+    return sum(
+        sum(map(bisect_right, repeat(right[n1 - k]), (bound - s for s in sums)))
+        for k, sums in enumerate(left)
+    )
 
 
 def mc_perm_p(values, arms, replicates: int, seed: int, direction: str = "lower") -> MonteCarloP:

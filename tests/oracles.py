@@ -145,22 +145,59 @@ def jackknife_pseudo(ds, kind, backend, pooling, **params):
     return out
 
 
+def _tie_bound(values, observed, direction):
+    """The package's documented tie rule: sums within 2^-41 of the value
+    spread from the observed sum count as ties."""
+    window = Fraction(max(values) - min(values), 2**41)
+    return observed + window if direction == "lower" else observed - window
+
+
+def _extreme(s, bound, direction):
+    return s <= bound if direction == "lower" else s >= bound
+
+
 def enumerate_perm_p(values, arms, direction):
     """Full enumeration of label assignments with exact rational sums.
 
-    Applies the package's documented tie rule: sums within 2^-41 of the
-    value spread from the observed sum count as ties.
+    The values are put over their least common denominator once, so every
+    assignment's sum is an exact integer (the rational sum times that
+    positive constant).
     """
     exact = [Fraction(float(v)) for v in values]
-    spread = max(exact) - min(exact)
-    window = spread / 2**41
+    denom = math.lcm(*(v.denominator for v in exact))
+    ints = [int(v * denom) for v in exact]
     n1 = sum(arms)
-    observed = sum(v for v, a in zip(exact, arms) if a == 1)
+    observed = sum(v for v, a in zip(ints, arms) if a == 1)
+    bound = _tie_bound(ints, observed, direction)
     count = 0
     total = 0
-    for combo in itertools.combinations(range(len(values)), n1):
-        s = sum(exact[i] for i in combo)
+    for combo in itertools.combinations(range(len(ints)), n1):
         total += 1
-        if (s <= observed + window) if direction == "lower" else (s >= observed - window):
+        if _extreme(sum(ints[i] for i in combo), bound, direction):
             count += 1
     return Fraction(count, total)
+
+
+def dp_perm_p(values, arms, direction):
+    """Exact permutation p-value for integer-valued inputs, by dynamic
+    programming over (subset size, subset sum).
+
+    counts[k][s] is the number of size-k subsets with sum s, built one
+    value at a time; the cost grows with n * n1 * (number of distinct
+    sums), not with the number of assignments.
+    """
+    ints = [int(v) for v in values]
+    if ints != list(values):
+        raise ValueError("dp_perm_p needs integer-valued inputs")
+    n1 = sum(arms)
+    counts = [{} for _ in range(n1 + 1)]
+    counts[0][0] = 1
+    for v in ints:
+        for k in range(n1, 0, -1):  # downward, so each value is used once
+            row = counts[k]
+            for s, c in counts[k - 1].items():
+                row[s + v] = row.get(s + v, 0) + c
+    observed = sum(v for v, a in zip(ints, arms) if a == 1)
+    bound = _tie_bound(ints, observed, direction)
+    hits = sum(c for s, c in counts[n1].items() if _extreme(s, bound, direction))
+    return Fraction(hits, math.comb(len(ints), n1))

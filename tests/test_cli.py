@@ -107,6 +107,20 @@ def test_test_exact_permutation(toy_csv_path, capsys):
     assert perm["p"] == pytest.approx(252 / 924, abs=1e-6)
 
 
+def test_test_exact_permutation_size_limit(tmp_path, capsys):
+    # 30 subjects (1.6e8 assignments) are counted exactly; 60 are refused
+    for n, code in ((30, 0), (60, 1)):
+        path = tmp_path / f"trial{n}.csv"
+        rows = "".join(f"{1 + (7 * i) % 23}.5,{i % 2},{int(i % 3 > 0)}\n" for i in range(n))
+        path.write_text("time,arm,event\n" + rows, encoding="utf-8")
+        assert run("test", "--input", str(path), "--method", "logrank", "--perm", "exact") == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out)["permutation"]["assignments"] == 155_117_520
+        else:
+            assert out == "" and err.count("\n") == 1 and "Monte-Carlo" in err
+
+
 def test_test_mc_permutation_deterministic(toy_csv_path, capsys):
     args = (
         "test", "--input", str(toy_csv_path), "--method", "pseudo",

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -57,10 +58,67 @@ def test_exact_never_zero_and_rational():
 
 
 def test_exact_bound_exceeded():
-    values = list(range(30))
-    arms = [0, 1] * 15
-    with pytest.raises(ValueError, match="Monte-Carlo"):
-        exact_perm_p(values, arms, "lower")
+    # past 2^20 sums for the larger half; the refusal costs no enumeration
+    for n, n1 in [(60, 30), (41, 20), (100_000, 3), (15_000, 7_500)]:
+        values = list(range(n))
+        arms = [1] * n1 + [0] * (n - n1)
+        with pytest.raises(ValueError, match="Monte-Carlo"):
+            exact_perm_p(values, arms, "lower")
+
+
+@pytest.mark.parametrize("n, n1", [(30, 15), (30, 20), (36, 18)])
+def test_exact_matches_dp_past_enumeration(n, n1):
+    # C(n, n1) is 3.0e7 to 9.1e9 assignments here: too many to enumerate
+    rng = random.Random(n * 100 + n1)
+    values = [float(rng.randint(0, 20)) for _ in range(n)]
+    arms = [1] * n1 + [0] * (n - n1)
+    rng.shuffle(arms)
+    for direction in ("lower", "upper"):
+        want = oracles.dp_perm_p(values, arms, direction)
+        assert exact_perm_p(values, arms, direction) == float(want)
+
+
+def test_dp_oracle_matches_full_enumeration():
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(2, 12)
+        values = [float(rng.randint(-4, 4)) for _ in range(n)]
+        arms = [1] * rng.randint(1, n - 1)
+        arms += [0] * (n - len(arms))
+        for direction in ("lower", "upper"):
+            assert oracles.dp_perm_p(values, arms, direction) == oracles.enumerate_perm_p(
+                values, arms, direction
+            )
+
+
+@pytest.mark.parametrize("n1", [2, 198])
+def test_exact_extreme_allocation(n1):
+    rng = random.Random(n1)
+    values = [round(rng.gauss(0, 1), 2) for _ in range(200)]  # 2 decimals: many ties
+    arms = [1] * n1 + [0] * (200 - n1)
+    rng.shuffle(arms)
+    for direction in ("lower", "upper"):
+        want = oracles.enumerate_perm_p(values, arms, direction)
+        assert exact_perm_p(values, arms, direction) == float(want)
+
+
+def test_exact_tie_window_boundary():
+    # Spread 2^42 makes the tie window exactly 2 units around the observed
+    # sum c = 2^41: c + 2 is a tie and c + 3 is not ("lower"); c - 2 is a
+    # tie and c - 3 is not ("upper").
+    c = 2.0**41
+    values = [0.0, 2.0**42, c, c + 2, c + 3, c - 2, c - 3]
+    one = [0, 0, 1, 0, 0, 0, 0]  # arm 1 holds c alone
+    assert exact_perm_p(values, one, "lower") == 5 / 7  # 0, c, c+2, c-2, c-3
+    assert exact_perm_p(values, one, "upper") == 5 / 7  # 2^42, c, c+2, c+3, c-2
+    # the same boundary through the complement: arm 1 holds all but c
+    rest = [1 - a for a in one]
+    assert exact_perm_p(values, rest, "upper") == 5 / 7
+    assert exact_perm_p(values, rest, "lower") == 5 / 7
+    for arms in (one, rest):
+        for direction in ("lower", "upper"):
+            want = oracles.enumerate_perm_p(values, arms, direction)
+            assert exact_perm_p(values, arms, direction) == float(want)
 
 
 def test_exact_requires_both_arms():
