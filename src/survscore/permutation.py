@@ -168,7 +168,7 @@ def mc_perm_p(values, arms, replicates: int, seed: int, direction: str = "lower"
     extreme = 0
     for r in range(replicates):
         stream = root.substream(r)
-        s = sum(scaled[i] for i in stream.choose(n, n1))
+        s = sum(map(scaled.__getitem__, stream.choose(n, n1)))
         if (s <= bound) if direction == "lower" else (s >= bound):
             extreme += 1
     p = (1 + extreme) / (replicates + 1)

@@ -9,6 +9,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from survscore.rng import SplitMix64
+
 
 def km_steps(subjects):
     """Product-limit curve as [(event_time, survival_after)], direct product.
@@ -156,6 +158,13 @@ def _extreme(s, bound, direction):
     return s <= bound if direction == "lower" else s >= bound
 
 
+def _common_denominator_ints(values):
+    """The values times their least common denominator, as exact integers."""
+    exact = [Fraction(float(v)) for v in values]
+    denom = math.lcm(*(v.denominator for v in exact))
+    return [int(v * denom) for v in exact]
+
+
 def enumerate_perm_p(values, arms, direction):
     """Full enumeration of label assignments with exact rational sums.
 
@@ -163,9 +172,7 @@ def enumerate_perm_p(values, arms, direction):
     assignment's sum is an exact integer (the rational sum times that
     positive constant).
     """
-    exact = [Fraction(float(v)) for v in values]
-    denom = math.lcm(*(v.denominator for v in exact))
-    ints = [int(v * denom) for v in exact]
+    ints = _common_denominator_ints(values)
     n1 = sum(arms)
     observed = sum(v for v, a in zip(ints, arms) if a == 1)
     bound = _tie_bound(ints, observed, direction)
@@ -201,3 +208,50 @@ def dp_perm_p(values, arms, direction):
     bound = _tie_bound(ints, observed, direction)
     hits = sum(c for s, c in counts[n1].items() if _extreme(s, bound, direction))
     return Fraction(hits, math.comb(len(ints), n1))
+
+
+def sequential_choose(rng, n, k):
+    """Partial Fisher-Yates drawing one rejection-sampled index per step."""
+    idx = list(range(n))
+    for i in range(k):
+        j = i + rng.next_below(n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k]
+
+
+def sequential_mc_perm_p(values, arms, replicates, seed, direction):
+    """Add-one Monte-Carlo permutation p, replicate r drawing its arm-1
+    subset with sequential_choose from child stream r of the seed.
+
+    Only the per-word stream (substream, next_below) is shared with the
+    package; the packed draw and the integer image are not.
+    """
+    ints = _common_denominator_ints(values)
+    n1 = sum(arms)
+    observed = sum(v for v, a in zip(ints, arms) if a == 1)
+    bound = _tie_bound(ints, observed, direction)
+    root = SplitMix64(seed)
+    extreme = 0
+    for r in range(replicates):
+        subset = sequential_choose(root.substream(r), len(ints), n1)
+        extreme += _extreme(sum(ints[i] for i in subset), bound, direction)
+    return Fraction(1 + extreme, replicates + 1)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _undo_xorshift(y, shift):
+    """x with x ^ (x >> shift) == y: each pass fixes ``shift`` more top bits."""
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unfinalize(word):
+    """Inverse of the splitmix64 finalizer: undo each xor-shift and multiply
+    by the inverse of each odd multiplier mod 2**64, last step first."""
+    z = _undo_xorshift(word, 31)
+    z = _undo_xorshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64, 27)
+    return _undo_xorshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64, 30)

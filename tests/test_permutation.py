@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from survscore import (
     WeightSpec,
     exact_perm_p,
     mc_perm_p,
+    parse_dataset,
     wlrt_test,
 )
 from tests import oracles
@@ -157,6 +160,41 @@ def test_mc_deterministic_bit_for_bit(toy):
     a = mc_perm_p(scores.raw, toy.arms, 2000, 99, "lower")
     b = mc_perm_p(scores.raw, toy.arms, 2000, 99, "lower")
     assert a == b
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+@pytest.mark.parametrize("n, n1", [(40, 1), (40, 39), (40, 8), (300, 1), (300, 299), (300, 60)])
+def test_mc_matches_sequential_oracle(n, n1, direction):
+    rng = random.Random(n * 1000 + n1)
+    values = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+    arms = [0] * (n - n1) + [1] * n1
+    rng.shuffle(arms)
+    replicates = 200
+    got = mc_perm_p(values, arms, replicates, n1, direction)
+    assert got.p == float(oracles.sequential_mc_perm_p(values, arms, replicates, n1, direction))
+
+
+def simulated_trial_300(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "simulate_delayed_effect.py"
+    spec = importlib.util.spec_from_file_location("simulate_delayed_effect", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "trial.csv"
+    assert script.main(["--seed", "1", "--output", str(out)]) == 0
+    return parse_dataset(out.read_text())
+
+
+def test_mc_extreme_counts_pinned(tmp_path):
+    # Extreme counts of the word-by-word draw (oracles.sequential_choose) on
+    # an n = 300 simulated trial; a change to them is a change to the
+    # Monte-Carlo stream and must be versioned.
+    ds = simulated_trial_300(tmp_path)
+    scores = wlrt_test(ds, WeightSpec.logrank()).per_subject
+    replicates = 2000
+    pinned = {(0, "lower"): 9, (0, "upper"): 1991, (7, "lower"): 10, (7, "upper"): 1990}
+    for (seed, direction), extreme in pinned.items():
+        got = mc_perm_p(scores.raw, ds.arms, replicates, seed, direction)
+        assert got.p == (1 + extreme) / (replicates + 1), (seed, direction)
 
 
 def test_mc_constant_values():
