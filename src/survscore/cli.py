@@ -45,24 +45,28 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _tabulate(rows, columns, fmt) -> str:
-    """rows of dicts -> CSV or a JSON list, with 6-significant-digit numbers."""
+def _tabulate(columns: dict, fmt: str) -> str:
+    """Named columns of equal length -> CSV or a JSON list of rows.
+
+    Floats get 6 significant digits; None is an empty CSV cell or a JSON null.
+    """
     if fmt == "json":
-        out = [
-            {c: _jsonable(v) if isinstance(v, float) else v for c, v in row.items()}
-            for row in rows
-        ]
-        return json.dumps(out, indent=2) + "\n"
+        cells = [[_jsonable(v) if isinstance(v, float) else v for v in c] for c in columns.values()]
+        return json.dumps([dict(zip(columns, row)) for row in zip(*cells)], indent=2) + "\n"
+    cells = [
+        ["" if v is None else f"{v:.6g}" if isinstance(v, float) else v for v in c]
+        for c in columns.values()
+    ]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    # column by column: a comprehension per row costs more than its formatting
-    cells = (
-        ["" if v is None else f"{v:.6g}" if isinstance(v, float) else v for v in column]
-        for column in ([row[c] for row in rows] for c in columns)
-    )
     writer.writerows(zip(*cells))
     return buffer.getvalue()
+
+
+def _subject_columns(ds: TrialDataset, repeat: int = 1) -> dict:
+    """The time, arm and event columns of ``ds``, ``repeat`` times over."""
+    return {"time": ds.times * repeat, "arm": ds.arms * repeat, "event": ds.events * repeat}
 
 
 def _parse_breakpoints(text: str) -> tuple[float, ...]:
@@ -168,81 +172,43 @@ def parse_method_spec(text: str):
     return _method_spec(name, options)
 
 
-def _build_panel(ds: TrialDataset, spec) -> PlotPanel:
-    values = spec.per_subject(ds).scaled
-    return PlotPanel.from_values(spec.describe(), ds.times, values, ds.arms, ds.events)
-
-
-def _panel_csv(panels, with_method: bool) -> str:
-    rows = [
-        {"method": panel.title, "time": p.time, "arm": p.arm, "event": 0 if p.censored else 1,
-         "scaled_value": p.value}
-        for panel in panels
-        for p in panel.points
-    ]
-    columns = (["method"] if with_method else []) + ["time", "arm", "event", "scaled_value"]
-    return _tabulate(rows, columns, "csv")
-
-
 def cmd_km(args) -> int:
     ds = _load(args)
-    rows = []
-    if args.pooled:
-        groups = [("pooled", ds)]
-    else:
-        arm0, arm1 = split_by_arm(ds)
-        groups = [(0, arm0), (1, arm1)]
+    groups = [("pooled", ds)] if args.pooled else zip((0, 1), split_by_arm(ds))
+    times, survival, labels = [], [], []
     for label, sub in groups:
         curve = km_fit(sub)
-        rows.append({"time": 0.0, "survival": 1.0, "arm": label})
-        for t, v in zip(curve.jump_times, curve.values):
-            rows.append({"time": t, "survival": v, "arm": label})
-    _emit(_tabulate(rows, ["time", "survival", "arm"], args.format), args)
+        times += (0.0, *curve.jump_times)
+        survival += (1.0, *curve.values)
+        labels += [label] * (1 + len(curve.values))
+    _emit(_tabulate({"time": times, "survival": survival, "arm": labels}, args.format), args)
     return 0
 
 
 def cmd_scores(args) -> int:
     ds = _load(args)
     rt, pooled, scores = score_chain(ds, _flag_spec(args.test, args))
-
-    order = sorted(range(ds.n), key=lambda k: ds.subjects[k].time)
-    rows = []
-    for k in order:
-        s = ds.subjects[k]
-        j = rt.interval_index(s.time)  # number of event times <= s.time; >= 1 for events
-        rows.append(
-            {
-                "time": s.time,
-                "arm": s.arm,
-                "event": s.event,
-                "survival": pooled.left(s.time),
-                "weight": scores.weights[j - 1] if j >= 1 else None,
-                "score": scores.raw[k],
-                "scaled_score": scores.scaled[k],
-            }
-        )
-    columns = ["time", "arm", "event", "survival", "weight", "score", "scaled_score"]
-    _emit(_tabulate(rows, columns, args.format), args)
+    order = sorted(range(ds.n), key=ds.times.__getitem__)
+    columns = _subject_columns(TrialDataset([ds.subjects[k] for k in order]))
+    times = columns["time"]
+    # the number of event times <= t, which is >= 1 for an event, indexes its weight
+    intervals = map(rt.interval_index, times)
+    columns.update(
+        survival=[pooled.left(t) for t in times],
+        weight=[scores.weights[j - 1] if j >= 1 else None for j in intervals],
+        score=[scores.raw[k] for k in order],
+        scaled_score=[scores.scaled[k] for k in order],
+    )
+    _emit(_tabulate(columns, args.format), args)
     return 0
 
 
 def cmd_pseudo(args) -> int:
     ds = _load(args)
     ps = _flag_spec(args.estimand, args).per_subject(ds)
-    rows = []
-    for s, loo, value, scaled in zip(ds.subjects, ps.loo, ps.values, ps.scaled):
-        rows.append(
-            {
-                "time": s.time,
-                "arm": s.arm,
-                "event": s.event,
-                "loo_estimate": loo,
-                "pseudo": value,
-                "scaled_pseudo": scaled,
-            }
-        )
-    columns = ["time", "arm", "event", "loo_estimate", "pseudo", "scaled_pseudo"]
-    _emit(_tabulate(rows, columns, args.format), args)
+    columns = _subject_columns(ds)
+    columns.update(loo_estimate=ps.loo, pseudo=ps.values, scaled_pseudo=ps.scaled)
+    _emit(_tabulate(columns, args.format), args)
     return 0
 
 
@@ -269,8 +235,9 @@ def cmd_test(args) -> int:
     spec = _flag_spec(name, args)
     result = TESTS[args.method](ds, spec)
 
-    p_one_sided = result.p_one_sided
+    direction, p_one_sided = spec.benefit, result.p_one_sided
     if args.flip_direction:
+        direction = "upper" if direction == "lower" else "lower"
         p_one_sided = 1.0 - p_one_sided
 
     payload = {
@@ -288,9 +255,6 @@ def cmd_test(args) -> int:
                 "use a score method or --method pseudo"
             )
         values = result.per_subject.values
-        direction = spec.benefit
-        if args.flip_direction:
-            direction = "upper" if direction == "lower" else "lower"
         if args.perm == "exact":
             p = exact_perm_p(values, ds.arms, direction)
             payload["permutation"] = {
@@ -314,30 +278,29 @@ def cmd_test(args) -> int:
 
 
 def cmd_censor(args) -> int:
-    ds = _load(args)
-    censored = inject_censoring(ds, args.max, args.seed)
-    rows = [{"time": s.time, "arm": s.arm, "event": s.event} for s in censored.subjects]
-    _emit(_tabulate(rows, ["time", "arm", "event"], "csv"), args)
+    censored = inject_censoring(_load(args), args.max, args.seed)
+    _emit(_tabulate(_subject_columns(censored), "csv"), args)
     return 0
 
 
-def cmd_plot(args) -> int:
-    ds = _load(args)
-    panel = _build_panel(ds, parse_method_spec(args.spec))
-    out = Path(args.output)
-    out.write_text(render_svg([panel]), encoding="utf-8")
-    out.with_suffix(".csv").write_text(_panel_csv([panel], with_method=False), encoding="utf-8")
-    return 0
-
-
-def cmd_compare(args) -> int:
-    if len(args.spec) < 2:
+def cmd_panels(args) -> int:
+    """plot (one --spec) or compare (several): an SVG plus a CSV of its points, panel by panel."""
+    compare = args.command == "compare"
+    specs = args.spec if compare else [args.spec]
+    if compare and len(specs) < 2:
         raise ValueError("compare needs at least two --spec methods")
     ds = _load(args)
-    panels = [_build_panel(ds, parse_method_spec(s)) for s in args.spec]
+    panels = []
+    for text in specs:
+        spec = parse_method_spec(text)
+        scaled = spec.per_subject(ds).scaled
+        panels.append(PlotPanel.from_values(spec.describe(), ds.times, scaled, ds.arms, ds.events))
     out = Path(args.output)
     out.write_text(render_svg(panels, columns=args.columns), encoding="utf-8")
-    out.with_suffix(".csv").write_text(_panel_csv(panels, with_method=True), encoding="utf-8")
+    columns = {"method": [panel.title for panel in panels for _ in panel.points]} if compare else {}
+    columns.update(_subject_columns(ds, repeat=len(panels)))
+    columns["scaled_value"] = [p.value for panel in panels for p in panel.points]
+    out.with_suffix(".csv").write_text(_tabulate(columns, "csv"), encoding="utf-8")
     return 0
 
 
@@ -415,14 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", parents=[common], help="one method panel as SVG + CSV")
     p.add_argument("--spec", required=True, help="method spec, e.g. 'mw:sstar=0.5'")
-    p.set_defaults(func=cmd_plot)
+    p.set_defaults(func=cmd_panels, columns=1)
 
     p = sub.add_parser("compare", parents=[common],
                        help="aligned panels for several methods as SVG + CSV")
     p.add_argument("--spec", action="append", required=True,
                    help="method spec; repeat for each panel")
     p.add_argument("--columns", type=int, default=3, help="panels per row (default: 3)")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_panels)
     return parser
 
 

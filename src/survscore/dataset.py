@@ -132,6 +132,13 @@ def parse_dataset(text: str) -> TrialDataset:
     """
     reader = csv.reader(io.StringIO(text))
     try:
+        return _read_subjects(reader)
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise DataFormatError(f"line {reader.line_num}: {exc}") from None
+
+
+def _read_subjects(reader) -> TrialDataset:
+    try:
         header = next(reader)
     except StopIteration:
         raise DataFormatError("empty input: expected header 'time,arm,event'") from None

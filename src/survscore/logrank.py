@@ -208,7 +208,12 @@ def perm_moments(values, n_arm1: int) -> tuple[float, float]:
     if not 1 <= n_arm1 <= n - 1:
         raise ValueError("arm-1 count must leave both arms nonempty")
     mean = sum(values) / n
-    ssq = sum((v - mean) ** 2 for v in values)
+    try:
+        ssq = sum((v - mean) ** 2 for v in values)
+    except OverflowError:
+        ssq = math.inf
+    if not math.isfinite(ssq):
+        raise ValueError("permutation variance overflows: the values' sum of squares is not finite")
     var_sum = n_arm1 * (n - n_arm1) / (n * (n - 1)) * ssq
     factor = 1.0 / n_arm1 + 1.0 / (n - n_arm1)
     return var_sum, factor * factor * var_sum

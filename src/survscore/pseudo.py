@@ -323,6 +323,8 @@ def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
                 raise ValueError(f"{exc} (after removing subject {k})") from None
             loo[k] = estimate
             values[k] = n * full - (n - 1) * estimate
+            if not math.isfinite(values[k]):
+                raise ValueError(f"pseudo-value of subject {k} is not finite")
 
     return PseudoSet(ds, spec, tuple(values), tuple(loo), functionals)
 
@@ -343,6 +345,9 @@ def standardize_pseudo(ps: PseudoSet) -> PseudoSet:
         scaled = tuple((2.0 * v - hi - lo) / span for v in ps.values)
     else:
         scaled = tuple((hi + lo - 2.0 * v) / span for v in ps.values)
+    for k, value in enumerate(scaled):
+        if not math.isfinite(value):
+            raise ValueError(f"scaled pseudo-value of subject {k} is not finite")
     return replace(ps, scaled=scaled)
 
 

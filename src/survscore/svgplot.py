@@ -8,7 +8,7 @@ geometry can be checked programmatically.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from xml.sax.saxutils import escape
 
 PANEL_W = 360
@@ -42,33 +42,31 @@ class PanelPoint:
 
 @dataclass(frozen=True)
 class PlotPanel:
-    """One panel: a point per subject and a dashed mean line per arm."""
+    """One panel: a point per subject and a dashed mean line per arm.
+
+    ``arm_means`` is derived from the points, so a mean line always sits
+    at the mean of its arm's points.
+    """
 
     title: str
     points: tuple[PanelPoint, ...]
-    arm_means: tuple[float, float]
+    arm_means: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
+        means = []
         for arm in (0, 1):
             values = [p.value for p in self.points if p.arm == arm]
             if not values:
                 raise ValueError(f"panel needs points on arm {arm}")
-            if not math.isclose(self.arm_means[arm], sum(values) / len(values), abs_tol=1e-12):
-                raise ValueError(f"arm {arm} mean line does not match its points")
+            means.append(sum(values) / len(values))
+        object.__setattr__(self, "arm_means", tuple(means))
 
     @classmethod
     def from_values(cls, title, times, values, arms, events) -> "PlotPanel":
         """Build a panel from parallel per-subject columns."""
-        points = tuple(
+        return cls(title, tuple(
             PanelPoint(t, v, a, e == 0) for t, v, a, e in zip(times, values, arms, events)
-        )
-        means = []
-        for arm in (0, 1):
-            group = [p.value for p in points if p.arm == arm]
-            if not group:
-                raise ValueError(f"panel needs points on arm {arm}")
-            means.append(sum(group) / len(group))
-        return cls(title, points, (means[0], means[1]))
+        ))
 
 
 def nice_ceiling(x: float) -> float:

@@ -284,7 +284,7 @@ def test_parse_method_spec():
 
 
 # Numbers no horizon, weight or layout admits, plus a few that some do.
-EDGE_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "-0.5", "1e300", "0.5", "6", "18"]
+EDGE_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "-0.5", "1e300", "1e308", "0.5", "6", "18"]
 edge = st.sampled_from(EDGE_NUMBERS)
 
 
@@ -333,30 +333,62 @@ def _compare_argv(draw, out):
 
 
 NAN = re.compile(r"\bnan\b", re.IGNORECASE)
+# An exponential fit integrates any horizon, so a huge tau drives the
+# pseudo-values of this trial, and their sum of squares, past the float range.
+ONE_EARLY_EVENT_CSV = "time,arm,event\n1,0,1\n2,0,0\n3,0,0\n1.5,1,1\n2.5,1,1\n3.5,1,0\n"
+
+
+def _assert_contract(argv, written_paths=()):
+    """Exit 0, 1 or 2 with no traceback; a one-line error on exit 1; no NaN printed."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    written = [p.read_text() for p in written_paths if p.exists()]
+    for text in [stdout.getvalue(), stderr.getvalue()] + written:
+        assert not NAN.search(text), (argv, text[:300])
+    if code == 1:
+        assert stderr.getvalue().startswith("error:")
+        assert len(stderr.getvalue().strip().splitlines()) == 1
+    return code
 
 
 @given(data=st.data())
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_contract_under_edge_flag_values(toy_csv_path, tmp_path, data):
-    """Any flag values: exit 0, 1 or 2 with no traceback, and no NaN printed."""
+    """Any flag values on either input: exit 0, 1 or 2 with no traceback, and no NaN printed."""
     out = tmp_path / "cmp.svg"
     for stale in (out, out.with_suffix(".csv")):
         stale.unlink(missing_ok=True)
+    one = tmp_path / "one.csv"
+    one.write_text(ONE_EARLY_EVENT_CSV, encoding="utf-8")
     make_argv = data.draw(
         st.sampled_from([_pseudo_argv, _test_argv, lambda draw: _compare_argv(draw, out)])
     )
-    argv = make_argv(data.draw) + ["--input", str(toy_csv_path)]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    assert code in (0, 1, 2)
-    written = [p.read_text() for p in (out, out.with_suffix(".csv")) if p.exists()]
-    for text in [stdout.getvalue(), stderr.getvalue()] + written:
-        assert not NAN.search(text), (argv, text[:300])
-    if code == 1:
-        assert stderr.getvalue().startswith("error:")
-        assert len(stderr.getvalue().strip().splitlines()) == 1
+    source = data.draw(st.sampled_from([toy_csv_path, one]))
+    argv = make_argv(data.draw) + ["--input", str(source)]
+    _assert_contract(argv, (out, out.with_suffix(".csv")))
+
+
+@pytest.mark.parametrize("argv", [
+    ["pseudo", "--estimand", "rmst", "--tau", "1e308", "--backend", "exp"],
+    ["test", "--method", "pseudo", "--estimand", "rmst", "--tau", "1e200", "--backend", "exp"],
+])
+def test_cli_contract_at_overflowing_horizons(argv, tmp_path):
+    one = tmp_path / "one.csv"
+    one.write_text(ONE_EARLY_EVENT_CSV, encoding="utf-8")
+    assert _assert_contract(argv + ["--input", str(one)]) == 1
+
+
+def test_cli_field_over_csv_limit_is_single_line_error(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text("time,arm,event\n" + "1" * 131073 + ",0,1\n2,1,1\n", encoding="utf-8")
+    for command in ("km", "scores", "pseudo --estimand rmst --tau 1", "test --method logrank",
+                    "censor"):
+        assert run(*command.split(), "--input", str(big)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: line 2: field larger than field limit (131072)\n"
 
 
 # SHA-256 of stdout plus every written file (name and bytes, in name order) of
@@ -366,9 +398,17 @@ GOLDEN_RUNS = {  # name -> (argv without --input, digest)
         ["km", "--pooled", "--format", "json"],
         "a677fa6a6ea289b25965baf39510686e931fa533ea8ab608cbbdf86302f2ca60",
     ),
+    "km-arms": (
+        ["km"],
+        "f37c7b9c9712bc6f993d4039dd3521e31da82bf5117e1417aee194fe1ae169fc",
+    ),
     "scores": (
         ["scores", "--test", "fh", "--rho", "0", "--gamma", "1"],
         "4778533138b9a595217d21646ca1e89a9f3b39e35f037b971e0899d00102e101",
+    ),
+    "scores-mw-json": (
+        ["scores", "--test", "mw", "--sstar", "0.5", "--format", "json"],
+        "2963a64e487d2e1464f968ea31b72591d0cad6b52dfe771980ae0efbfbb38d26",
     ),
     "pseudo": (
         ["pseudo", "--estimand", "rmst", "--tau", "18", "--format", "json"],
@@ -415,6 +455,34 @@ def test_output_bytes_match_golden(name, toy_csv_path, tmp_path, capsys, monkeyp
         if path != toy_csv_path:
             h.update(path.name.encode() + b"\0" + path.read_bytes())
     assert h.hexdigest() == digest
+
+
+# Out of time order, and the first subject by time is censored before any
+# event, so its weight is missing: an empty CSV cell and a JSON null.
+EARLY_CENSORED_CSV = "time,arm,event\n5,0,1\n1,0,0\n6,1,1\n2,1,1\n4,1,0\n3,0,1\n"
+EARLY_CENSORED_SCORES = """\
+time,arm,event,survival,weight,score,scaled_score
+1,0,0,1,,0,-0.0666667
+2,1,1,1,1,0.8,1
+3,0,1,0.8,0.8,0.4,0.466667
+4,1,0,0.6,0.8,-0.4,-0.6
+5,0,1,0.6,0.6,-0.1,-0.2
+6,1,1,0.3,0.3,-0.7,-1
+"""
+
+
+def test_scores_bytes_with_weight_missing(tmp_path, capsys):
+    path = tmp_path / "early.csv"
+    path.write_text(EARLY_CENSORED_CSV, encoding="utf-8")
+    argv = ["scores", "--input", str(path), "--test", "fh", "--rho", "1", "--gamma", "0"]
+    assert run(*argv) == 0
+    assert capsys.readouterr().out == EARLY_CENSORED_SCORES
+    assert run(*argv, "--format", "json") == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)[0]["weight"] is None
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2163c6b54d88c86f9299b6f8f0d01c5e78fd3ae7dbd2995ad32dcfa54b0e22ab"
+    )
 
 
 def test_format_only_on_tabular_subcommands(toy_csv_path, capsys):

@@ -50,6 +50,8 @@ def test_parse_single_row():
         ("5.0,0,2", "event must be 0 or 1"),
         ("5.0,0", "expected 3 fields"),
         ("5.0,0,1,9", "expected 3 fields"),
+        # the csv module refuses a field over 131,072 characters
+        pytest.param("1" * 131073 + ",0,1", "field larger than field limit", id="huge-field"),
     ],
 )
 def test_parse_bad_rows(row, message):

@@ -192,6 +192,12 @@ def test_perm_moments_edge_cases():
         perm_moments([1.0, 2.0], 2)
 
 
+def test_perm_moments_refuses_overflowing_sum_of_squares():
+    for values in ([-2e200, 1e200, 3.0], [-1.5e308, 1.5e308, 0.0]):
+        with pytest.raises(ValueError, match="sum of squares"):
+            perm_moments(values, 1)
+
+
 def test_mean_score_diff(toy_parts):
     toy, rt, pooled = toy_parts
     scores = standardize(compute_scores(rt, (1.0,) * 7))

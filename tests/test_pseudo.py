@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -165,6 +166,29 @@ def test_standardize_pseudo_degenerate():
     assert len(set(ps.values)) == 1
     with pytest.raises(ValueError, match="degenerate pseudo-value range"):
         standardize_pseudo(ps)
+
+
+# An exponential fit integrates any horizon; at 1e308 subject 0's rmst overflows.
+ONE_EARLY_EVENT = TrialDataset(tuple(
+    Subject(t, arm, e)
+    for t, arm, e in ((1, 0, 1), (2, 0, 0), (3, 0, 0), (1.5, 1, 1), (2.5, 1, 1), (3.5, 1, 0))
+))
+
+
+def exp_rmst(tau):
+    return EstimandSpec(kind="rmst", tau=tau, backend="exponential")
+
+
+def test_non_finite_pseudo_value_refused():
+    with pytest.raises(ValueError, match="pseudo-value of subject 0 is not finite"):
+        pseudo_values(ONE_EARLY_EVENT, exp_rmst(1e308))
+
+
+def test_non_finite_scaled_pseudo_value_refused():
+    ps = pseudo_values(ONE_EARLY_EVENT, exp_rmst(3.0))
+    huge = replace(ps, values=(-1.5e308, 1.5e308) + ps.values[2:])  # hi - lo overflows
+    with pytest.raises(ValueError, match="scaled pseudo-value of subject 0 is not finite"):
+        standardize_pseudo(huge)
 
 
 def test_pseudo_test_toy(toy):

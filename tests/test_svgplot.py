@@ -95,10 +95,13 @@ def test_panel_needs_both_arms():
         PlotPanel.from_values("x", (1.0, 2.0), (0.5, -0.5), (0, 0), (1, 1))
 
 
-def test_panel_mean_validation():
-    points = PlotPanel.from_values("x", (1.0, 2.0), (0.5, -0.5), (0, 1), (1, 1)).points
-    with pytest.raises(ValueError, match="mean line"):
-        PlotPanel("x", points, (0.4, -0.5))
+def test_panel_derives_arm_means():
+    points = PlotPanel.from_values(
+        "x", (1.0, 2.0, 3.0), (0.5, -0.5, 0.25), (0, 1, 1), (1, 1, 0)
+    ).points
+    assert PlotPanel("x", points).arm_means == (0.5, -0.125)
+    with pytest.raises(TypeError):
+        PlotPanel("x", points, (0.5, -0.125))  # means are not an input
 
 
 def test_render_empty():
