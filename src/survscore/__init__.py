@@ -19,7 +19,6 @@ from .curves import (
 )
 from .dataset import (
     DataFormatError,
-    RiskRow,
     RiskTable,
     Subject,
     TrialDataset,
@@ -65,7 +64,6 @@ __all__ = [
     "ParametricSurvival",
     "PlotPanel",
     "PseudoSet",
-    "RiskRow",
     "RiskTable",
     "ScoreSet",
     "SplitMix64",

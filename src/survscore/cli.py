@@ -22,7 +22,7 @@ from .dataset import TrialDataset, parse_dataset, split_by_arm
 from .km_tests import milestone_test, rmst_test
 from .logrank import WeightSpec, score_chain, wlrt_test
 from .permutation import EXACT_HALF_SUMS_LIMIT, exact_perm_p, mc_perm_p
-from .pseudo import ESTIMAND_KINDS, EstimandSpec, pseudo_test, pseudo_values
+from .pseudo import EstimandSpec, pseudo_test, pseudo_values
 from .svgplot import PlotPanel, render_svg
 
 BACKEND_FLAGS = {"km": "km", "exp": "exponential", "pwexp": "piecewise"}
@@ -77,13 +77,15 @@ def _parse_breakpoints(text: str) -> tuple[float, ...]:
     return cuts
 
 
-METHOD_KEYS = {  # method name -> the options its spec takes
+FIT_KEYS = ("backend", "breakpoints", "pooling")
+METHOD_KEYS = {  # method name -> the options its spec reads
     "logrank": (),
     "fh": ("rho", "gamma"),
     "mw": ("sstar",),
-    **dict.fromkeys(
-        ESTIMAND_KINDS, ("tau", "kappa", "tau1", "tau2", "backend", "breakpoints", "pooling", "log")
-    ),
+    "rmst": ("tau", *FIT_KEYS),
+    "milestone": ("kappa", *FIT_KEYS),
+    "wmst": ("tau1", "tau2", *FIT_KEYS),
+    "ahsw": ("tau", "log", *FIT_KEYS),
 }
 
 

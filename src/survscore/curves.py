@@ -95,13 +95,12 @@ def km_fit(ds: TrialDataset) -> StepSurvival:
 
 def km_from_table(rt: RiskTable) -> StepSurvival:
     """Product-limit estimate over a risk table the caller already holds."""
-    jumps, values = [], []
+    values = []
     surv = 1.0
-    for row in rt.rows:
-        surv *= 1.0 - row.d / row.n
-        jumps.append(row.time)
+    for d, n in zip(rt.events, rt.at_risk):
+        surv *= 1.0 - d / n
         values.append(surv)
-    return StepSurvival(tuple(jumps), tuple(values), rt.source.follow_up)
+    return StepSurvival(rt.times, tuple(values), rt.source.follow_up)
 
 
 def rmst(curve: SurvivalCurve, tau: float) -> float:

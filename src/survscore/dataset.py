@@ -86,41 +86,27 @@ class TrialDataset:
 
 
 @dataclass(frozen=True)
-class RiskRow:
-    """Counts at one distinct event time.
-
-    ``at_risk`` counts subjects with time >= this row's time, so a subject
-    censored exactly here is still in the risk set.
-    """
-
-    time: float
-    at_risk: tuple[int, int]  # per arm, just prior to this time
-    events: tuple[int, int]  # per arm, at this time
-
-    @property
-    def n(self) -> int:
-        return self.at_risk[0] + self.at_risk[1]
-
-    @property
-    def d(self) -> int:
-        return self.events[0] + self.events[1]
-
-
-@dataclass(frozen=True)
 class RiskTable:
-    """Distinct event times in ascending order, with per-arm counts.
+    """Counts at each distinct event time, as parallel columns in ascending time.
 
-    ``source`` keeps the generating dataset so per-subject quantities
-    (scores, pseudo-values) can be broadcast back in dataset order.
+    ``at_risk`` counts subjects with time >= the column's time, so a subject
+    censored exactly there is still in the risk set; ``events`` counts the
+    events there.  Both count the two arms together; ``at_risk1`` and
+    ``events1`` count arm 1 alone.  ``source`` keeps the generating dataset
+    so per-subject quantities (scores, pseudo-values) can be broadcast back
+    in dataset order.
     """
 
-    rows: tuple[RiskRow, ...]
     source: TrialDataset
-    event_times: tuple[float, ...]  # the rows' times, kept for bisecting
+    times: tuple[float, ...]
+    at_risk: tuple[int, ...]
+    events: tuple[int, ...]
+    at_risk1: tuple[int, ...]
+    events1: tuple[int, ...]
 
     def interval_index(self, time: float) -> int:
         """Number of distinct event times <= ``time`` (0 = before the first)."""
-        return bisect_right(self.event_times, time)
+        return bisect_right(self.times, time)
 
 
 def parse_dataset(text: str) -> TrialDataset:
@@ -172,23 +158,22 @@ def _read_subjects(reader) -> TrialDataset:
 
 
 def build_risk_table(ds: TrialDataset) -> RiskTable:
-    """Scan the ordered distinct event times and tabulate per-arm counts."""
-    event_times = sorted({s.time for s in ds.subjects if s.event == 1})
-    if not event_times:
+    """Tabulate at-risk and event counts at each distinct event time."""
+    events = Counter(s.time for s in ds.subjects if s.event == 1)
+    if not events:
         raise ValueError("no event times: dataset contains only censored subjects")
-
-    arm_times = (
-        sorted(s.time for s in ds.subjects if s.arm == 0),
-        sorted(s.time for s in ds.subjects if s.arm == 1),
+    events1 = Counter(s.time for s in ds.subjects if s.event == 1 and s.arm == 1)
+    ordered = sorted(s.time for s in ds.subjects)
+    ordered1 = sorted(s.time for s in ds.subjects if s.arm == 1)
+    times = tuple(sorted(events))
+    return RiskTable(
+        ds,
+        times,
+        tuple(len(ordered) - bisect_left(ordered, t) for t in times),
+        tuple(map(events.__getitem__, times)),
+        tuple(len(ordered1) - bisect_left(ordered1, t) for t in times),
+        tuple(map(events1.__getitem__, times)),
     )
-    event_counts = Counter((s.arm, s.time) for s in ds.subjects if s.event == 1)
-
-    rows = []
-    for t in event_times:
-        at_risk = tuple(len(ts) - bisect_left(ts, t) for ts in arm_times)
-        events = (event_counts.get((0, t), 0), event_counts.get((1, t), 0))
-        rows.append(RiskRow(t, at_risk, events))
-    return RiskTable(tuple(rows), ds, tuple(event_times))
 
 
 def split_by_arm(ds: TrialDataset) -> tuple[TrialDataset, TrialDataset]:

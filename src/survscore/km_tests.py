@@ -6,7 +6,7 @@ EstimandSpec.  A variance term at an event time where everyone at risk dies
 divides by zero; such terms are dropped and a warning is attached.
 """
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .curves import km_from_table, rmst
 from .dataset import TrialDataset, build_risk_table, split_by_arm
@@ -25,7 +25,7 @@ def _arm_fits(ds: TrialDataset, horizon: float, what: str):
             raise ValueError(
                 f"{what} {horizon:g} beyond follow-up {curve.follow_up:g} on {label}"
             )
-        fits.append((rt.rows, curve))
+        fits.append((rt, curve))
     return fits
 
 
@@ -46,8 +46,8 @@ def _difference_test(ds, spec, what, method, functional, coefficients) -> TestRe
     """Arm 1 minus arm 0 of a KM functional, with a Greenwood-type variance.
 
     The variance sums c^2 d / (n (n - d)) over each arm's event times up
-    to the spec's horizon, where ``coefficients(curve, rows)`` gives c for
-    every risk-table row.
+    to the spec's horizon, where ``coefficients(curve)`` gives c at every
+    event time of the arm's risk table.
     """
     horizon = spec.horizon
     fits = _arm_fits(ds, horizon, what)
@@ -56,14 +56,13 @@ def _difference_test(ds, spec, what, method, functional, coefficients) -> TestRe
 
     variance = 0.0
     warnings = []
-    for (rows, curve), label in zip(fits, ("arm 0", "arm 1")):
-        for row, c in zip(rows, coefficients(curve, rows)):
-            if row.time > horizon:
+    for (rt, curve), label in zip(fits, ("arm 0", "arm 1")):
+        for t, n, d, c in zip(rt.times, rt.at_risk, rt.events, coefficients(curve)):
+            if t > horizon:
                 continue
-            n, d = row.n, row.d
             if n == d:
                 warnings.append(
-                    f"variance term at t={row.time:g} on {label} dropped: "
+                    f"variance term at t={t:g} on {label} dropped: "
                     "all subjects at risk had events"
                 )
                 continue
@@ -89,7 +88,7 @@ def rmst_test(ds: TrialDataset, tau: float) -> TestResult:
         "restriction time",
         f"RMST({tau:g}) difference [KM]",
         lambda curve: rmst(curve, tau),
-        lambda curve, rows: _integrals_from(curve, tau),
+        lambda curve: _integrals_from(curve, tau),
     )
 
 
@@ -101,5 +100,5 @@ def milestone_test(ds: TrialDataset, kappa: float) -> TestResult:
         "milestone time",
         f"milestone({kappa:g}) difference [KM]",
         lambda curve: curve.at(kappa),
-        lambda curve, rows: [curve.at(kappa)] * len(rows),
+        lambda curve: repeat(curve.at(kappa)),
     )

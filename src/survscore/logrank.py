@@ -135,8 +135,8 @@ def z_value(statistic: float, variance: float) -> float:
 def compute_weights(rt: RiskTable, pooled: StepSurvival, spec: WeightSpec) -> tuple[float, ...]:
     """Weight at each distinct event time, from the pooled-sample curve."""
     if spec.kind == "logrank":
-        return (1.0,) * len(rt.rows)
-    left = [pooled.left(row.time) for row in rt.rows]
+        return (1.0,) * len(rt.times)
+    left = [pooled.left(t) for t in rt.times]
     if spec.kind == "fleming_harrington":
         return tuple(s**spec.rho * (1.0 - s) ** spec.gamma for s in left)  # 0.0**0.0 == 1.0
     return tuple(1.0 / max(s, spec.s_star) for s in left)
@@ -145,18 +145,17 @@ def compute_weights(rt: RiskTable, pooled: StepSurvival, spec: WeightSpec) -> tu
 def u_and_v(rt: RiskTable, weights) -> tuple[float, float]:
     """Observed-minus-expected statistic and its hypergeometric variance.
 
-    The variance term at a row with a single subject at risk is 0 (the
-    row carries no between-arm information).
+    The variance term at an event time with a single subject at risk is 0
+    (it carries no between-arm information).
     """
-    if len(weights) != len(rt.rows):
+    if len(weights) != len(rt.times):
         raise ValueError("need one weight per distinct event time")
     u = 0.0
     v = 0.0
-    for w, row in zip(weights, rt.rows):
-        n, d = row.n, row.d
-        u += w * (row.events[1] - d * row.at_risk[1] / n)
+    for w, n, d, n1, d1 in zip(weights, rt.at_risk, rt.events, rt.at_risk1, rt.events1):
+        u += w * (d1 - d * n1 / n)
         if n > 1:
-            v += w * w * row.at_risk[0] * row.at_risk[1] * d * (n - d) / (n * n * (n - 1))
+            v += w * w * (n - n1) * n1 * d * (n - d) / (n * n * (n - 1))
     return u, v
 
 
@@ -167,17 +166,17 @@ def compute_scores(rt: RiskTable, weights, spec: WeightSpec | None = None) -> Sc
     Censored in [t_j, t_{j+1}): a = -sum_{i<=j} w_i d_i / n_i, which is
     the empty sum 0 for subjects censored before the first event time.
     """
-    if len(weights) != len(rt.rows):
+    if len(weights) != len(rt.times):
         raise ValueError("need one weight per distinct event time")
     cum = []
     running = 0.0
-    for w, row in zip(weights, rt.rows):
-        running += w * row.d / row.n
+    for w, d, n in zip(weights, rt.events, rt.at_risk):
+        running += w * d / n
         cum.append(running)
 
     raw = []
     for s in rt.source.subjects:
-        j = rt.interval_index(s.time)  # an event's own row is j - 1
+        j = rt.interval_index(s.time)  # an event's own event time is j - 1
         if s.event == 1:
             raw.append(weights[j - 1] - cum[j - 1])
         else:

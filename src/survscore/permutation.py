@@ -44,11 +44,6 @@ class MonteCarloP:
     seed: int
 
 
-def _check_direction(direction):
-    if direction not in ("lower", "upper"):
-        raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
-
-
 def _check_two_arms(values, arms):
     if len(values) != len(arms):
         raise ValueError("values and arms must have equal length")
@@ -79,6 +74,24 @@ def _integer_image(values):
     return scaled, window
 
 
+def _lower_tail(values, arms, direction):
+    """A one-sided test's counting problem, turned onto its lower tail.
+
+    Returns the arm-1 count, the exact integer image of the values --
+    negated for "upper", so that a larger arm-1 sum is a smaller one --
+    and the bound: an assignment is at least as extreme as the observed
+    one, ties included, when its arm-1 sum of the image is <= bound.
+    """
+    if direction not in ("lower", "upper"):
+        raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
+    n1 = _check_two_arms(values, arms)
+    scaled, window = _integer_image(values)
+    if direction == "upper":
+        scaled = [-v for v in scaled]
+    observed = sum(v for v, a in zip(scaled, arms) if a == 1)
+    return n1, scaled, observed + window
+
+
 def exact_perm_p(values, arms, direction: str = "lower") -> float:
     """Exact permutation p-value of the mean-difference statistic.
 
@@ -86,22 +99,14 @@ def exact_perm_p(values, arms, direction: str = "lower") -> float:
     ("upper") the observed one, the observed assignment included; the
     result is m / C(N, N1) and never 0.
     """
-    _check_direction(direction)
-    n1 = _check_two_arms(values, arms)
-    n = len(values)
+    n1, scaled, bound = _lower_tail(values, arms, direction)
+    n = len(scaled)
     if _half_sums_held(n, min(n1, n - n1)) > EXACT_HALF_SUMS_LIMIT:
         raise ValueError(
             f"exact counting for {n1} of {n} subjects on arm 1 would hold more than "
             f"{EXACT_HALF_SUMS_LIMIT} half-subset sums; use the Monte-Carlo test (mc_perm_p)"
         )
-    scaled, window = _integer_image(values)
-    observed = sum(v for v, a in zip(scaled, arms) if a == 1)
-    total = math.comb(n, n1)
-    if direction == "lower":
-        count = _count_at_most(scaled, n1, observed + window)
-    else:  # integer sums: >= observed - window is the complement of <= observed - window - 1
-        count = total - _count_at_most(scaled, n1, observed - window - 1)
-    return count / total
+    return _count_at_most(scaled, n1, bound) / math.comb(n, n1)
 
 
 def _half_sums_held(n, m) -> int:
@@ -156,20 +161,15 @@ def mc_perm_p(values, arms, replicates: int, seed: int, direction: str = "lower"
     scheduled.  Sums and tie handling use the same exact integer image as
     the exact test.
     """
-    _check_direction(direction)
+    n1, scaled, bound = _lower_tail(values, arms, direction)
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    n1 = _check_two_arms(values, arms)
-    n = len(values)
-    scaled, window = _integer_image(values)
-    observed = sum(v for v, a in zip(scaled, arms) if a == 1)
-    bound = observed + window if direction == "lower" else observed - window
+    n = len(scaled)
     root = SplitMix64(seed)
     extreme = 0
     for r in range(replicates):
         stream = root.substream(r)
-        s = sum(map(scaled.__getitem__, stream.choose(n, n1)))
-        if (s <= bound) if direction == "lower" else (s >= bound):
+        if sum(map(scaled.__getitem__, stream.choose(n, n1))) <= bound:
             extreme += 1
     p = (1 + extreme) / (replicates + 1)
     return MonteCarloP(p, math.sqrt(p * (1.0 - p) / replicates), replicates, seed)

@@ -161,26 +161,26 @@ def _km_leave_one_out(rt: RiskTable, spec: EstimandSpec):
     """Leave-one-out functionals of a Kaplan-Meier fit, by position in ``rt.source``.
 
     Removing subject k (time t, event e) lowers the at-risk count by 1 at
-    every event time <= t and the event count by e at t; the rows after t
-    keep their factors 1 - d/n.  So the leave-one-out curve is a product of
-    "shifted" factors 1 - d/(n - 1) up to the row before t, one factor for
-    the last row at or before t (1, as if the row were absent, when no event
-    is left there), and the full fit's own factors after it.  Prefix
-    products and integrals of the shifted curve, plus per-horizon suffix
-    products and integrals of the full fit's factors (accumulated
-    backwards, so nothing is divided and S = 0 is safe), give every
-    subject's S(h) and RMST(h) in O(1) after one bisect.  Level j of a
-    curve is its value after j jumps, on [start_j, t_j), with start_0 = 0.
+    every event time <= t and the event count by e at t; the event times
+    after t keep their factors 1 - d/n.  So the leave-one-out curve is a
+    product of "shifted" factors 1 - d/(n - 1) up to the event time before
+    t, one factor for the last event time at or before t (1, as if it were
+    absent, when no event is left there), and the full fit's own factors
+    after it.  Prefix products and integrals of the shifted curve, plus
+    per-horizon suffix products and integrals of the full fit's factors
+    (accumulated backwards, so nothing is divided and S = 0 is safe), give
+    every subject's S(h) and RMST(h) in O(1) after one bisect.  Level j of
+    a curve is its value after j jumps, on [start_j, t_j), with start_0 = 0.
     """
-    rows, times = rt.rows, rt.event_times
+    times, at_risk, events = rt.times, rt.at_risk, rt.events
     starts = (0.0,) + times
-    factors = [1.0 - row.d / row.n for row in rows]
+    factors = [1.0 - d / n for d, n in zip(events, at_risk)]
     ordered = sorted(s.time for s in rt.source.subjects)
-    # shifted level j, for every j < number of rows: a row before the last
-    # has a later death at risk, so n - 1 >= d there
+    # shifted level j, for every j < number of event times: an event time
+    # before the last has a later death at risk, so n - 1 >= d there
     shifted = [1.0]
-    for row in rows[:-1]:
-        shifted.append(shifted[-1] * (1.0 - row.d / (row.n - 1)))
+    for d, n in zip(events[:-1], at_risk[:-1]):
+        shifted.append(shifted[-1] * (1.0 - d / (n - 1)))
     # area[j]: integral of the shifted curve over [0, start_j)
     area = list(accumulate(
         (s * (t - start) for s, t, start in zip(shifted, times, starts)), initial=0.0
@@ -190,7 +190,7 @@ def _km_leave_one_out(rt: RiskTable, spec: EstimandSpec):
     def suffix(h):
         """(last, integrals, through, products) for horizon h, built once per h.
 
-        ``last`` rows lie before h and ``through`` at or before it;
+        ``last`` event times lie before h and ``through`` at or before it;
         integrals[j] and products[j] are the integral over [start_j, h) and
         the value at h of the curve that is 1 on level j and then takes the
         full fit's factors.
@@ -215,9 +215,8 @@ def _km_leave_one_out(rt: RiskTable, spec: EstimandSpec):
         pivot = bisect_right(times, subject.time)  # the level where the curves part
         level = 1.0
         if pivot:
-            row = rows[pivot - 1]
-            d = row.d - subject.event
-            level = shifted[pivot - 1] * (1.0 - d / (row.n - 1) if d else 1.0)
+            d = events[pivot - 1] - subject.event
+            level = shifted[pivot - 1] * (1.0 - d / (at_risk[pivot - 1] - 1) if d else 1.0)
 
         def at(h):
             _, _, through, products = suffix(h)
@@ -351,18 +350,14 @@ def standardize_pseudo(ps: PseudoSet) -> PseudoSet:
     return replace(ps, scaled=scaled)
 
 
-def pseudo_test(ps: PseudoSet, arms=None) -> TestResult:
+def pseudo_test(ps: PseudoSet) -> TestResult:
     """Mean pseudo-value difference with permutation-moment variance.
 
     Oriented by the estimand's ``benefit``, so that benefit on arm 1
     gives a small p.
     """
-    if arms is None:
-        arms = ps.source.arms
-    if len(arms) != len(ps.values):
-        raise ValueError("arms and pseudo-values must have equal length")
-    statistic = mean_score_diff(ps.values, arms)
-    _, variance = perm_moments(ps.values, sum(arms))
+    statistic = mean_score_diff(ps.values, ps.source.arms)
+    _, variance = perm_moments(ps.values, ps.source.n_arm1)
     z = z_value(statistic, variance)
     return TestResult(
         method=f"pseudo-value {ps.spec.describe()}",

@@ -239,7 +239,7 @@ def test_criterion_09_monotonicity(toy):
         for seed in range(100):
             ds = random_dataset(seed)
             rt = ss.build_risk_table(ds)
-            scores = ss.compute_scores(rt, (1.0,) * len(rt.rows))
+            scores = ss.compute_scores(rt, (1.0,) * len(rt.times))
             events = sorted(
                 {(s.time, a) for s, a in zip(ds.subjects, scores.raw) if s.event}
             )

@@ -283,6 +283,40 @@ def test_parse_method_spec():
         parse_method_spec("mw")
 
 
+@pytest.mark.parametrize("text", [
+    "rmst:tau=18,kappa=nan",
+    "rmst:tau=18,log=on",
+    "milestone:kappa=18,log=off",
+    "milestone:kappa=18,tau=6",
+    "wmst:tau1=6,tau2=18,tau=3",
+    "ahsw:tau=9,kappa=3",
+    "ahsw:tau=9,tau2=18",
+])
+def test_spec_refuses_keys_its_estimand_never_reads(text):
+    with pytest.raises(ValueError, match="unknown keys"):
+        parse_method_spec(text)
+
+
+def test_spec_keys_every_estimand_reads():
+    fit = "backend=pwexp,breakpoints=1:2,pooling=pooled"
+    for text in ("rmst:tau=9", "milestone:kappa=9", "wmst:tau1=3,tau2=9", "ahsw:tau=9,log=off"):
+        spec = parse_method_spec(f"{text},{fit}")
+        assert (spec.backend, spec.breakpoints, spec.pooling) == ("piecewise", (1.0, 2.0), "pooled")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--spec", "rmst:tau=18,kappa=nan", "--spec", "logrank"],
+    ["plot", "--spec", "milestone:kappa=18,log=off"],
+])
+def test_cli_refuses_spec_keys_never_read(argv, toy_csv_path, tmp_path, capsys):
+    out = tmp_path / "out.svg"
+    assert run(*argv, "--input", str(toy_csv_path), "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad method spec") and "unknown keys" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 # Numbers no horizon, weight or layout admits, plus a few that some do.
 EDGE_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "-0.5", "1e300", "1e308", "0.5", "6", "18"]
 edge = st.sampled_from(EDGE_NUMBERS)
@@ -423,6 +457,18 @@ GOLDEN_RUNS = {  # name -> (argv without --input, digest)
         ["test", "--method", "pseudo", "--estimand", "milestone", "--kappa", "18",
          "--backend", "exp", "--perm", "exact"],
         "05f4c56623bb47be413f1ecbb2a8c164c8d8e2aac3f9397dc176057281cd56ff",
+    ),
+    "test-logrank": (
+        ["test", "--method", "logrank"],
+        "3f428dbb7576d38e1ae9b96f3277e5b2b3773b689816f235e068b5ade7546f4c",
+    ),
+    "test-rmst": (
+        ["test", "--method", "rmst", "--tau", "18"],
+        "e64085cd40da041e4b524263cebc225bfb4ace05b0c0e0202ffa945cdf26dfa6",
+    ),
+    "test-milestone": (
+        ["test", "--method", "milestone", "--kappa", "18"],
+        "a66f07bbc75171f396c39c7ce8e5d6a07d2d0a2d809e758562c961f90371cc3c",
     ),
     "test-mc": (
         ["test", "--method", "mw", "--sstar", "0.5", "--perm", "mc", "--replicates", "500",

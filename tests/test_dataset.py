@@ -78,29 +78,40 @@ def test_subject_validation():
         Subject(1.0, 0, -1)
 
 
+def _columns(rt):
+    return rt.times, rt.at_risk, rt.events, rt.at_risk1, rt.events1
+
+
+def _on_arm(both, arm1, arm):
+    """One arm's counts from a both-arm column and its arm-1 column."""
+    return arm1 if arm == 1 else tuple(b - a for b, a in zip(both, arm1))
+
+
 def test_risk_table_toy():
     rt = build_risk_table(parse_dataset(TOY_CSV))
-    assert len(rt.rows) == 7
-    first, last = rt.rows[0], rt.rows[-1]
-    assert (first.time, first.n, first.d) == (4.38, 12, 1)
-    assert (last.time, last.n, last.d) == (24.98, 6, 1)
+    assert len(rt.times) == 7
+    assert all(len(column) == 7 for column in _columns(rt))
+    assert (rt.times[0], rt.at_risk[0], rt.events[0]) == (4.38, 12, 1)
+    assert (rt.times[-1], rt.at_risk[-1], rt.events[-1]) == (24.98, 6, 1)
     # all 12 at risk at the first event time; 7 events, so 5 are censored
-    assert sum(r.d for r in rt.rows) == 7
+    assert sum(rt.events) == 7
 
 
 def test_risk_table_tied_events_collapse():
     ds = TrialDataset((Subject(1.0, 0, 1), Subject(1.0, 1, 1)))
     rt = build_risk_table(ds)
-    assert len(rt.rows) == 1
-    assert rt.rows[0].n == 2
-    assert rt.rows[0].d == 2
+    assert len(rt.times) == 1
+    assert rt.at_risk[0] == 2
+    assert rt.events[0] == 2
 
 
 def test_risk_table_censored_at_event_time_stays_at_risk():
     ds = TrialDataset((Subject(2.0, 0, 1), Subject(2.0, 1, 0), Subject(3.0, 1, 1)))
     rt = build_risk_table(ds)
-    assert rt.rows[0].at_risk == (1, 2)  # the censored subject counts at t=2
-    assert rt.rows[1].at_risk == (0, 1)  # and has left by t=3
+    # the censored subject counts at t=2: one at risk on arm 0, two on arm 1
+    assert (rt.at_risk1[0], rt.at_risk[0] - rt.at_risk1[0]) == (2, 1)
+    # and has left by t=3: none at risk on arm 0, one on arm 1
+    assert (rt.at_risk1[1], rt.at_risk[1] - rt.at_risk1[1]) == (1, 0)
 
 
 def test_risk_table_no_events():
@@ -144,9 +155,9 @@ def test_conservation_of_subjects(ds):
             build_risk_table(ds)
         return
     rt = build_risk_table(ds)
-    bounds = [0.0] + [r.time for r in rt.rows] + [math.inf]
+    bounds = [0.0, *rt.times, math.inf]
     for arm in (0, 1):
-        accounted = sum(r.events[arm] for r in rt.rows)
+        accounted = sum(_on_arm(rt.events, rt.events1, arm))
         accounted += sum(_censored_in(ds, arm, lo, hi) for lo, hi in zip(bounds, bounds[1:]))
         assert accounted == sum(1 for s in ds.subjects if s.arm == arm)
 
@@ -157,15 +168,15 @@ def test_at_risk_counts_match_definition(ds):
     if ds.n_events == 0:
         return
     rt = build_risk_table(ds)
-    for row in rt.rows:
-        for arm in (0, 1):
-            expected = sum(1 for s in ds.subjects if s.arm == arm and s.time >= row.time)
-            assert row.at_risk[arm] == expected
-        # at-risk recursion between consecutive rows
-    for cur, nxt in zip(rt.rows, rt.rows[1:]):
-        for arm in (0, 1):
-            assert nxt.at_risk[arm] == (
-                cur.at_risk[arm] - cur.events[arm] - _censored_in(ds, arm, cur.time, nxt.time)
+    for arm in (0, 1):
+        at_risk = _on_arm(rt.at_risk, rt.at_risk1, arm)
+        events = _on_arm(rt.events, rt.events1, arm)
+        for t, n in zip(rt.times, at_risk):
+            assert n == sum(1 for s in ds.subjects if s.arm == arm and s.time >= t)
+        # at-risk recursion between consecutive event times
+        for j in range(len(rt.times) - 1):
+            assert at_risk[j + 1] == (
+                at_risk[j] - events[j] - _censored_in(ds, arm, rt.times[j], rt.times[j + 1])
             )
 
 
@@ -178,4 +189,4 @@ def test_risk_table_invariant_under_row_permutation(ds, rnd):
     rnd.shuffle(shuffled)
     a = build_risk_table(ds)
     b = build_risk_table(TrialDataset(tuple(shuffled)))
-    assert a.rows == b.rows
+    assert _columns(a) == _columns(b)

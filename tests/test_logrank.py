@@ -77,7 +77,7 @@ def test_u_zero_for_mirrored_arms():
     base = [(2.0, 1), (3.5, 0), (5.0, 1), (7.25, 1)]
     subjects = [Subject(t, arm, e) for t, e in base for arm in (0, 1)]
     rt = build_risk_table(TrialDataset(tuple(subjects)))
-    u, _ = u_and_v(rt, (1.0,) * len(rt.rows))
+    u, _ = u_and_v(rt, (1.0,) * len(rt.times))
     assert u == pytest.approx(0.0, abs=1e-12)
 
 
