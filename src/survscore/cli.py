@@ -26,7 +26,6 @@ from .pseudo import EstimandSpec, pseudo_test, pseudo_values
 from .svgplot import PlotPanel, render_svg
 
 BACKEND_FLAGS = {"km": "km", "exp": "exponential", "pwexp": "piecewise"}
-DEFAULT_BREAKPOINTS = (2.0, 4.0, 6.0, 8.0)
 
 
 def _jsonable(x):
@@ -87,45 +86,56 @@ METHOD_KEYS = {  # method name -> the options its spec reads
     "wmst": ("tau1", "tau2", *FIT_KEYS),
     "ahsw": ("tau", "log", *FIT_KEYS),
 }
+KM_TEST_KEYS = {"rmst": ("tau",), "milestone": ("kappa",)}  # the closed-form KM tests fit nothing
+NUMBER_KEYS = ("rho", "gamma", "sstar", "tau", "kappa", "tau1", "tau2")
 
 
-def _method_spec(name: str, options: dict):
+def _method_spec(name: str, options: dict, spell=str, where: str = "", reads=None):
     """The weight or estimand spec of method ``name``; the one spec builder.
 
-    ``options`` holds numbers for rho, gamma, sstar, tau, kappa, tau1 and
-    tau2, a backend flag (km|exp|pwexp), a breakpoint list as text, a
-    pooling and a log-scale bool; absent ones take their defaults.  mw
-    needs sstar, which its callers check with their own wording.
+    ``options`` holds only the keys the user gave: numbers for rho, gamma,
+    sstar, tau, kappa, tau1 and tau2, a backend flag (km|exp|pwexp), a
+    breakpoint list as text, a pooling and a log-scale bool.  Absent ones
+    take the defaults below; mw's sstar has none.  A key outside ``reads``
+    (default: every key of ``METHOD_KEYS[name]``), or a missing sstar, is
+    refused: the message starts with ``where`` and names each key as
+    ``spell`` writes it.
     """
+    reads = METHOD_KEYS[name] if reads is None else reads
+    unread = sorted(spell(key) for key in options if key not in reads)
+    if unread:
+        raise ValueError(f"{where}unknown keys for {name}: {', '.join(unread)}")
+    if name == "mw" and "sstar" not in options:
+        raise ValueError(f"{where}mw requires {spell('sstar')}")
+    options = {"rho": 0.0, "gamma": 0.0, "backend": "km", "breakpoints": "2,4,6,8",
+               "pooling": "arm", "log": True, **options}
     if name == "logrank":
         return WeightSpec.logrank()
     if name == "fh":
-        return WeightSpec.fleming_harrington(options.get("rho", 0.0), options.get("gamma", 0.0))
+        return WeightSpec.fleming_harrington(options["rho"], options["gamma"])
     if name == "mw":
         return WeightSpec.modest(options["sstar"])
-    breakpoints = options.get("breakpoints")
     return EstimandSpec(
         kind=name,
         tau=options.get("tau"),
         kappa=options.get("kappa"),
         tau1=options.get("tau1"),
         tau2=options.get("tau2"),
-        log_scale=options.get("log", True),
-        backend=BACKEND_FLAGS[options.get("backend", "km")],
-        breakpoints=DEFAULT_BREAKPOINTS if breakpoints is None else _parse_breakpoints(breakpoints),
-        pooling=options.get("pooling", "arm"),
+        log_scale=options["log"],
+        backend=BACKEND_FLAGS[options["backend"]],
+        breakpoints=_parse_breakpoints(options["breakpoints"]),
+        pooling=options["pooling"],
     )
 
 
-def _flag_spec(name: str, args):
-    """The spec of method ``name`` from the subcommand's flags."""
-    if name == "mw" and args.sstar is None:
-        raise ValueError(f"the modest test ({name}) requires --sstar")
-    keys = METHOD_KEYS[name]
-    options = {k: v for k, v in vars(args).items() if k in keys and v is not None}
-    if "log" in keys:
-        options["log"] = args.ahsw_scale == "log"
-    return _method_spec(name, options)
+def _flag_spec(name: str, args, reads=None):
+    """The spec of method ``name`` from the method flags given on the command line."""
+    known = {key for keys in METHOD_KEYS.values() for key in keys}
+    options = {k: v for k, v in vars(args).items() if k in known and v is not None}
+    if "log" in options:
+        options["log"] = options["log"] == "log"
+    return _method_spec(name, options, lambda key: "--ahsw-scale" if key == "log" else f"--{key}",
+                        reads=reads)
 
 
 def parse_method_spec(text: str):
@@ -138,40 +148,26 @@ def parse_method_spec(text: str):
     """
     name, _, rest = text.partition(":")
     name = name.strip()
-    raw = {}
-    if rest:
-        for pair in rest.split(","):
-            key, sep, value = pair.partition("=")
-            if not sep:
-                raise ValueError(f"bad method spec {text!r}: expected key=value, got {pair!r}")
-            raw[key.strip()] = value.strip()
-
-    keys = METHOD_KEYS.get(name)
-    if keys is None:
+    if name not in METHOD_KEYS:
         raise ValueError(f"bad method spec {text!r}: unknown method {name!r}")
-    if set(raw) - set(keys):
-        raise ValueError(f"bad method spec {text!r}: unknown keys {sorted(set(raw) - set(keys))}")
-    if name == "mw" and "sstar" not in raw:
-        raise ValueError(f"bad method spec {text!r}: mw requires sstar=")
-
     options = {}
-    for key, value in raw.items():
-        if key == "backend":
-            if value not in BACKEND_FLAGS:
-                raise ValueError(f"bad method spec {text!r}: backend must be km, exp or pwexp")
-            options[key] = value
-        elif key == "log":
+    for pair in rest.split(",") if rest else ():
+        key, sep, value = (part.strip() for part in pair.partition("="))
+        if not sep:
+            raise ValueError(f"bad method spec {text!r}: expected key=value, got {pair!r}")
+        if key == "backend" and value not in BACKEND_FLAGS:
+            raise ValueError(f"bad method spec {text!r}: backend must be km, exp or pwexp")
+        if key == "log":
             if value not in ("on", "off"):
                 raise ValueError(f"bad method spec {text!r}: log must be on or off")
-            options[key] = value == "on"
-        elif key in ("pooling", "breakpoints"):
-            options[key] = value
-        else:
+            value = value == "on"
+        elif key in NUMBER_KEYS:
             try:
-                options[key] = float(value)
+                value = float(value)
             except ValueError:
                 raise ValueError(f"bad method spec {text!r}: {key} must be a number") from None
-    return _method_spec(name, options)
+        options[key] = value
+    return _method_spec(name, options, where=f"bad method spec {text!r}: ")
 
 
 def cmd_km(args) -> int:
@@ -188,10 +184,11 @@ def cmd_km(args) -> int:
 
 
 def cmd_scores(args) -> int:
+    spec = _flag_spec(args.test, args)
     ds = _load(args)
-    rt, pooled, scores = score_chain(ds, _flag_spec(args.test, args))
+    rt, pooled, scores = score_chain(ds, spec)
     order = sorted(range(ds.n), key=ds.times.__getitem__)
-    columns = _subject_columns(TrialDataset([ds.subjects[k] for k in order]))
+    columns = {key: [column[k] for k in order] for key, column in _subject_columns(ds).items()}
     times = columns["time"]
     # the number of event times <= t, which is >= 1 for an event, indexes its weight
     intervals = map(rt.interval_index, times)
@@ -206,8 +203,9 @@ def cmd_scores(args) -> int:
 
 
 def cmd_pseudo(args) -> int:
+    spec = _flag_spec(args.estimand, args)
     ds = _load(args)
-    ps = _flag_spec(args.estimand, args).per_subject(ds)
+    ps = spec.per_subject(ds)
     columns = _subject_columns(ds)
     columns.update(loo_estimate=ps.loo, pseudo=ps.values, scaled_pseudo=ps.scaled)
     _emit(_tabulate(columns, args.format), args)
@@ -228,13 +226,13 @@ TESTS = {
 
 
 def cmd_test(args) -> int:
+    if (args.method == "pseudo") != (args.estimand is not None):
+        raise ValueError("--estimand is required with --method pseudo and refused without it")
+    mc_only = [f"--{key}" for key in ("replicates", "seed") if getattr(args, key) is not None]
+    if mc_only and args.perm != "mc":
+        raise ValueError(f"{', '.join(mc_only)}: read only with --perm mc")
+    spec = _flag_spec(args.estimand or args.method, args, KM_TEST_KEYS.get(args.method))
     ds = _load(args)
-    name = args.method
-    if name == "pseudo":
-        if args.estimand is None:
-            raise ValueError("--method pseudo requires --estimand")
-        name = args.estimand
-    spec = _flag_spec(name, args)
     result = TESTS[args.method](ds, spec)
 
     direction, p_one_sided = spec.benefit, result.p_one_sided
@@ -266,7 +264,8 @@ def cmd_test(args) -> int:
                 "p": _jsonable(p),
             }
         else:
-            mc = mc_perm_p(values, ds.arms, args.replicates, args.seed, direction)
+            replicates = 10_000 if args.replicates is None else args.replicates
+            mc = mc_perm_p(values, ds.arms, replicates, args.seed or 0, direction)
             payload["permutation"] = {
                 "mode": "monte_carlo",
                 "direction": direction,
@@ -310,25 +309,25 @@ def _add_weight_flags(parser, with_selector: bool):
     if with_selector:
         parser.add_argument("--test", choices=["logrank", "fh", "mw"], default="logrank",
                             help="weight function (default: logrank)")
-    parser.add_argument("--rho", type=float, default=0.0, help="Fleming-Harrington rho")
-    parser.add_argument("--gamma", type=float, default=0.0, help="Fleming-Harrington gamma")
-    parser.add_argument("--sstar", type=float, default=None,
-                        help="floor s* in (0,1] for the modest (mw) test")
+    parser.add_argument("--rho", type=float, help="Fleming-Harrington rho (default: 0)")
+    parser.add_argument("--gamma", type=float, help="Fleming-Harrington gamma (default: 0)")
+    parser.add_argument("--sstar", type=float, help="floor s* in (0,1] for the modest (mw) test")
 
 
 def _add_estimand_flags(parser, required: bool):
     parser.add_argument("--estimand", choices=["rmst", "milestone", "wmst", "ahsw"],
                         required=required)
-    parser.add_argument("--tau", type=float, default=None, help="horizon for rmst/ahsw")
-    parser.add_argument("--kappa", type=float, default=None, help="milestone time")
-    parser.add_argument("--tau1", type=float, default=None, help="wmst window start")
-    parser.add_argument("--tau2", type=float, default=None, help="wmst window end")
-    parser.add_argument("--backend", choices=sorted(BACKEND_FLAGS), default="km")
-    parser.add_argument("--breakpoints", default="2,4,6,8",
+    parser.add_argument("--tau", type=float, help="horizon for rmst/ahsw")
+    parser.add_argument("--kappa", type=float, help="milestone time")
+    parser.add_argument("--tau1", type=float, help="wmst window start")
+    parser.add_argument("--tau2", type=float, help="wmst window end")
+    parser.add_argument("--backend", choices=sorted(BACKEND_FLAGS), help="curve fit (default: km)")
+    parser.add_argument("--breakpoints",
                         help="piecewise-exponential breakpoints (default: 2,4,6,8)")
-    parser.add_argument("--pooling", choices=["arm", "pooled"], default="arm",
+    parser.add_argument("--pooling", choices=["arm", "pooled"],
                         help="fit per arm (default) or on the pooled sample")
-    parser.add_argument("--ahsw-scale", choices=["log", "ratio"], default="log")
+    parser.add_argument("--ahsw-scale", choices=["log", "ratio"], dest="log",
+                        help="compare ahsw on the log scale (default) or as a ratio")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", choices=["exact", "mc"], default=None,
                    help=f"add a permutation p-value (exact up to {EXACT_HALF_SUMS_LIMIT} "
                         "half-subset sums: balanced arms up to n = 40)")
-    p.add_argument("--replicates", type=int, default=10_000, help="Monte-Carlo replicates")
-    p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed")
+    p.add_argument("--replicates", type=int, help="Monte-Carlo replicates (default: 10000)")
+    p.add_argument("--seed", type=int, help="Monte-Carlo seed (default: 0)")
     p.add_argument("--flip-direction", action="store_true",
                    help="test the opposite one-sided alternative")
     p.set_defaults(func=cmd_test)

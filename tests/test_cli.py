@@ -4,14 +4,16 @@ import hashlib
 import io
 import json
 import re
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from survscore import EstimandSpec, WeightSpec
-from survscore.cli import main, parse_method_spec
+from survscore.cli import KM_TEST_KEYS, METHOD_KEYS, main, parse_method_spec
 from tests.conftest import TOY_CSV
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
@@ -317,39 +319,86 @@ def test_cli_refuses_spec_keys_never_read(argv, toy_csv_path, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("test --method rmst --tau 18 --backend exp --pooling pooled", "--backend"),
+    ("test --method logrank --backend pwexp --breakpoints nan", "--breakpoints"),
+    ("scores --test fh --sstar 7", "--sstar"),
+    ("pseudo --estimand milestone --kappa 18 --tau inf --ahsw-scale ratio", "--ahsw-scale"),
+    ("test --method logrank --replicates 5", "--replicates"),
+    ("test --method fh --perm exact --seed 3", "--seed"),
+    ("test --method logrank --estimand rmst", "--estimand"),
+])
+def test_cli_refuses_flags_its_method_never_reads(argv, flag, toy_csv_path, capsys):
+    assert run(*argv.split(), "--input", str(toy_csv_path)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert flag in err
+
+
+@pytest.mark.parametrize("given_argv, omitted_argv", [
+    ("scores --test fh --rho 0 --gamma 0", "scores --test fh"),
+    ("pseudo --estimand ahsw --tau 18 --backend km --breakpoints 2,4,6,8 --pooling arm "
+     "--ahsw-scale log", "pseudo --estimand ahsw --tau 18"),
+    ("test --method logrank --perm mc --replicates 10000 --seed 0",
+     "test --method logrank --perm mc"),
+])
+def test_defaults_given_print_what_omitted_prints(given_argv, omitted_argv, toy_csv_path, capsys):
+    outputs = []
+    for argv in (given_argv, omitted_argv):
+        assert run(*argv.split(), "--input", str(toy_csv_path)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 # Numbers no horizon, weight or layout admits, plus a few that some do.
 EDGE_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "-0.5", "1e300", "1e308", "0.5", "6", "18"]
 edge = st.sampled_from(EDGE_NUMBERS)
+OPTION_VALUES = {  # method key -> its flag and the values drawn for it
+    **{key: (f"--{key}", edge) for key in ("rho", "gamma", "sstar", "tau", "kappa", "tau1", "tau2")},
+    "backend": ("--backend", st.sampled_from(["km", "exp", "pwexp"])),
+    "breakpoints": ("--breakpoints", st.builds("{},{}".format, edge, edge)),
+    "pooling": ("--pooling", st.sampled_from(["arm", "pooled"])),
+    "log": ("--ahsw-scale", st.sampled_from(["log", "ratio"])),
+}
+ESTIMANDS = ["rmst", "milestone", "wmst", "ahsw"]
 
 
+def _method_flags(draw, own, strays):
+    """Each of the method's ``own`` keys as a flag with chance 1/2, and now and then one stray."""
+    keys = [key for key in own if draw(st.booleans())]
+    if draw(st.integers(0, 7)) == 0:
+        keys.append(draw(st.sampled_from(sorted(set(strays) - set(own)))))
+    return [f"{OPTION_VALUES[key][0]}={draw(OPTION_VALUES[key][1])}" for key in keys]
+
+
+@st.composite
 def _pseudo_argv(draw):
-    argv = ["pseudo", "--estimand", draw(st.sampled_from(["rmst", "milestone", "wmst", "ahsw"])),
-            "--backend", draw(st.sampled_from(["km", "exp", "pwexp"]))]
-    for flag in ("--tau", "--kappa", "--tau1", "--tau2"):
-        if draw(st.booleans()):
-            argv.append(f"{flag}={draw(edge)}")
-    if draw(st.booleans()):
-        argv.append(f"--breakpoints={draw(edge)},{draw(edge)}")
-    return argv
+    estimand = draw(st.sampled_from(ESTIMANDS))
+    strays = [key for name in ESTIMANDS for key in METHOD_KEYS[name]]
+    return ["pseudo", "--estimand", estimand, *_method_flags(draw, METHOD_KEYS[estimand], strays)]
 
 
+@st.composite
 def _test_argv(draw):
     method = draw(st.sampled_from(["rmst", "milestone", "logrank", "fh", "mw", "pseudo"]))
     argv = ["test", "--method", method]
-    flags = ["--tau", "--kappa", "--rho", "--gamma", "--sstar"]
     if method == "pseudo":
-        argv += ["--estimand", draw(st.sampled_from(["rmst", "milestone", "wmst", "ahsw"])),
-                 "--backend", draw(st.sampled_from(["km", "exp", "pwexp"]))]
-        flags += ["--tau1", "--tau2"]
-    for flag in flags:
-        if draw(st.booleans()):
-            argv.append(f"{flag}={draw(edge)}")
+        estimand = draw(st.sampled_from(ESTIMANDS))
+        argv += ["--estimand", estimand]
+        own = METHOD_KEYS[estimand]
+    else:
+        own = KM_TEST_KEYS.get(method, METHOD_KEYS[method])
+    argv += _method_flags(draw, own, OPTION_VALUES)
     if draw(st.booleans()):
         argv += ["--perm", "mc", "--replicates", "50"]
     return argv
 
 
-def _compare_argv(draw, out):
+OUT = "<out>"  # stands for the SVG path, which exists only inside the test
+
+
+@st.composite
+def _compare_argv(draw):
     specs = [
         f"rmst:tau={draw(edge)}",
         f"milestone:kappa={draw(edge)},backend={draw(st.sampled_from(['km', 'exp', 'pwexp']))}",
@@ -360,7 +409,7 @@ def _compare_argv(draw, out):
         f"rmst:tau=18,backend=pwexp,breakpoints={draw(edge)}:{draw(edge)}",
     ]
     chosen = draw(st.lists(st.sampled_from(specs), min_size=2, max_size=3))
-    argv = ["compare", "--output", str(out)]
+    argv = ["compare", "--output", OUT]
     for spec in chosen:
         argv += ["--spec", spec]
     return argv + [f"--columns={draw(st.sampled_from([-1, 0, 1, 2, 10**9]))}"]
@@ -387,21 +436,25 @@ def _assert_contract(argv, written_paths=()):
     return code
 
 
-@given(data=st.data())
+@given(argv=st.one_of(_pseudo_argv(), _test_argv(), _compare_argv()),
+       one_early_event=st.booleans())
+@example(argv=["pseudo", "--estimand", "rmst", "--tau=1e300", "--backend=exp"], one_early_event=True)
+@example(argv=["pseudo", "--estimand", "rmst", "--tau=1e308", "--backend=exp"], one_early_event=True)
+@example(argv=["test", "--method", "pseudo", "--estimand", "rmst", "--tau=1e300", "--backend=exp"],
+         one_early_event=True)
+@example(argv=["test", "--method", "pseudo", "--estimand", "rmst", "--tau=1e308", "--backend=exp"],
+         one_early_event=True)
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_cli_contract_under_edge_flag_values(toy_csv_path, tmp_path, data):
+def test_cli_contract_under_edge_flag_values(toy_csv_path, tmp_path, argv, one_early_event):
     """Any flag values on either input: exit 0, 1 or 2 with no traceback, and no NaN printed."""
     out = tmp_path / "cmp.svg"
     for stale in (out, out.with_suffix(".csv")):
         stale.unlink(missing_ok=True)
     one = tmp_path / "one.csv"
     one.write_text(ONE_EARLY_EVENT_CSV, encoding="utf-8")
-    make_argv = data.draw(
-        st.sampled_from([_pseudo_argv, _test_argv, lambda draw: _compare_argv(draw, out)])
-    )
-    source = data.draw(st.sampled_from([toy_csv_path, one]))
-    argv = make_argv(data.draw) + ["--input", str(source)]
+    source = one if one_early_event else toy_csv_path
+    argv = [str(out) if arg == OUT else arg for arg in argv] + ["--input", str(source)]
     _assert_contract(argv, (out, out.with_suffix(".csv")))
 
 
@@ -538,3 +591,22 @@ def test_format_only_on_tabular_subcommands(toy_csv_path, capsys):
             run(*argv, "--input", str(toy_csv_path), "--format", "json")
         assert exc.value.code == 2
     assert "--format" in capsys.readouterr().err
+
+
+def _quick_start_commands():
+    """The ``survscore ...`` command lines of README's Quick start, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("survscore ")]
+
+
+def test_readme_quick_start_runs(toy_csv_path, tmp_path, capsys):
+    commands = _quick_start_commands()
+    assert len(commands) >= 4
+    for argv in commands:
+        argv = [str(toy_csv_path) if arg == "trial.csv" else arg for arg in argv]
+        if "--output" in argv:
+            at = argv.index("--output") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
