@@ -2,7 +2,7 @@
 
 import math
 
-from .dataset import Subject, TrialDataset
+from .dataset import TrialDataset
 from .rng import SplitMix64
 
 
@@ -18,11 +18,15 @@ def inject_censoring(ds: TrialDataset, c_max: float, seed: int) -> TrialDataset:
     if not (math.isfinite(c_max) and c_max > 0):
         raise ValueError("censoring bound must be finite and positive")
     rng = SplitMix64(seed)
-    out = []
-    for s in ds.subjects:
-        u = c_max * rng.next_uniform()  # strictly inside (0, c_max)
-        if s.time <= u:
-            out.append(s)
+    times, events = [], []
+    for time, event in zip(ds.times, ds.events):
+        u = c_max * rng.next_uniform()  # strictly inside (0, c_max), unless it underflows
+        if time <= u:
+            times.append(time)
+            events.append(event)
+        elif u > 0:
+            times.append(u)
+            events.append(0)
         else:
-            out.append(Subject(u, s.arm, 0))
-    return TrialDataset(tuple(out))
+            raise ValueError(f"time must be positive, got {u!r}")
+    return TrialDataset._from_columns(tuple(times), ds.arms, tuple(events))

@@ -70,22 +70,27 @@ class ParametricSurvival:
             raise ValueError("rates must be finite and nonnegative")
 
     def cumulative_hazard(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        total = 0.0
-        start = 0.0
-        for cut, rate in zip(self.breakpoints, self.rates):
-            if t <= cut:
-                return total + rate * (t - start)
-            total += rate * (cut - start)
-            start = cut
-        return total + self.rates[-1] * (t - start)
+        return piecewise_hazard(self.breakpoints, self.rates, t)
 
     def at(self, t: float) -> float:
         return math.exp(-self.cumulative_hazard(t))
 
 
 SurvivalCurve = StepSurvival | ParametricSurvival
+
+
+def piecewise_hazard(breakpoints, rates, t: float) -> float:
+    """H(t) of hazard ``rates`` between ``breakpoints``, which are taken as valid."""
+    if t < 0:
+        raise ValueError("time must be nonnegative")
+    total = 0.0
+    start = 0.0
+    for cut, rate in zip(breakpoints, rates):
+        if t <= cut:
+            return total + rate * (t - start)
+        total += rate * (cut - start)
+        start = cut
+    return total + rates[-1] * (t - start)
 
 
 def km_fit(ds: TrialDataset) -> StepSurvival:
@@ -127,15 +132,16 @@ def rmst(curve: SurvivalCurve, tau: float) -> float:
             total += surv * (t - prev_t)
             prev_t, surv = t, v
         return total + surv * (tau - prev_t)
-    return _rmst_parametric(curve, tau)
+    return piecewise_rmst(curve.breakpoints, curve.rates, tau)
 
 
-def _rmst_parametric(curve: ParametricSurvival, tau: float) -> float:
+def piecewise_rmst(breakpoints, rates, tau: float) -> float:
+    """Integral of exp(-H) over [0, tau], for valid ``breakpoints``, ``rates`` and tau >= 0."""
     total = 0.0
     surv = 1.0
     start = 0.0
-    boundaries = curve.breakpoints + (math.inf,)
-    for cut, rate in zip(boundaries, curve.rates):
+    boundaries = breakpoints + (math.inf,)
+    for cut, rate in zip(boundaries, rates):
         end = min(cut, tau)
         if end > start:
             dt = end - start
@@ -184,10 +190,11 @@ def interval_exposure(ds: TrialDataset, cuts: tuple[float, ...]):
     person-time to every interval it enters; its event belongs to the
     interval containing its time.
     """
+    times, events = ds.times, ds.events
     return [
         (
-            [min(s.time, end) - start if s.time > start else 0.0 for s in ds.subjects],
-            [s.event if start < s.time <= end else 0 for s in ds.subjects],
+            [min(t, end) - start if t > start else 0.0 for t in times],
+            [e if start < t <= end else 0 for t, e in zip(times, events)],
         )
         for start, end in zip((0.0,) + cuts, cuts + (math.inf,))
     ]

@@ -6,8 +6,11 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 CSV_HEADER = ("time", "arm", "event")
+_LABELS = {"0": 0, "1": 1}  # the only arm and event labels, as the ints a Subject holds
 
 
 class DataFormatError(ValueError):
@@ -33,51 +36,71 @@ class Subject:
             raise ValueError(f"event must be 0 or 1, got {self.event!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TrialDataset:
-    """Ordered collection of subjects. Immutable; order is meaningful."""
+    """Ordered collection of subjects, held as three parallel columns.
 
-    subjects: tuple[Subject, ...]
+    Immutable; order is meaningful.  ``times``, ``arms`` and ``events``
+    hold, in dataset order, the same objects the subjects do, and
+    ``subjects`` gives the same rows as ``Subject`` records.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "subjects", tuple(self.subjects))
+    times: tuple[float, ...]
+    arms: tuple[int, ...]
+    events: tuple[int, ...]
+
+    def __init__(self, subjects):
+        subjects = tuple(subjects)
+        self._fill(
+            tuple(s.time for s in subjects),
+            tuple(s.arm for s in subjects),
+            tuple(s.event for s in subjects),
+        )
+        object.__setattr__(self, "subjects", subjects)  # the given records are the cache
+
+    @classmethod
+    def _from_columns(cls, times, arms, events) -> "TrialDataset":
+        """A dataset over columns whose rows are already valid subjects (not checked)."""
+        ds = cls.__new__(cls)
+        ds._fill(times, arms, events)
+        return ds
+
+    def _fill(self, times, arms, events):
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "arms", arms)
+        object.__setattr__(self, "events", events)
+
+    @cached_property
+    def subjects(self) -> tuple[Subject, ...]:
+        """The rows as ``Subject`` records, built and validated on first use."""
+        return tuple(map(Subject, self.times, self.arms, self.events))
 
     @property
     def n(self) -> int:
-        return len(self.subjects)
+        return len(self.times)
 
     @property
     def n_arm1(self) -> int:
-        return sum(s.arm for s in self.subjects)
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(s.time for s in self.subjects)
-
-    @property
-    def arms(self) -> tuple[int, ...]:
-        return tuple(s.arm for s in self.subjects)
-
-    @property
-    def events(self) -> tuple[int, ...]:
-        return tuple(s.event for s in self.subjects)
+        return sum(self.arms)
 
     @property
     def n_events(self) -> int:
-        return sum(s.event for s in self.subjects)
+        return sum(self.events)
 
     @property
     def follow_up(self) -> float:
         """Largest observed time (event or censoring)."""
-        if not self.subjects:
+        if not self.times:
             raise ValueError("empty dataset has no follow-up")
-        return max(s.time for s in self.subjects)
+        return max(self.times)
 
     def without(self, k: int) -> "TrialDataset":
         """Copy with subject ``k`` removed (0-based index)."""
         if not 0 <= k < self.n:
             raise IndexError(f"subject index {k} out of range")
-        return TrialDataset(self.subjects[:k] + self.subjects[k + 1 :])
+        return TrialDataset._from_columns(
+            *(column[:k] + column[k + 1 :] for column in (self.times, self.arms, self.events))
+        )
 
     def require_two_arms(self):
         n1 = self.n_arm1
@@ -132,13 +155,14 @@ def _read_subjects(reader) -> TrialDataset:
         raise DataFormatError(
             f"line 1: header must be 'time,arm,event', got {','.join(header)!r}"
         )
-    subjects = []
+    times, arms, events = [], [], []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue  # tolerate a trailing blank line
         if len(row) != 3:
             raise DataFormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        raw_time, raw_arm, raw_event = (field.strip() for field in row)
+        raw_time, raw_arm, raw_event = row
+        raw_time, raw_arm, raw_event = raw_time.strip(), raw_arm.strip(), raw_event.strip()
         try:
             time = float(raw_time)
         except ValueError:
@@ -147,24 +171,29 @@ def _read_subjects(reader) -> TrialDataset:
             raise DataFormatError(f"line {lineno}: non-finite time {raw_time!r}")
         if time <= 0:
             raise DataFormatError(f"line {lineno}: time must be positive, got {raw_time}")
-        if raw_arm not in ("0", "1"):
+        arm = _LABELS.get(raw_arm)
+        if arm is None:
             raise DataFormatError(f"line {lineno}: arm must be 0 or 1, got {raw_arm!r}")
-        if raw_event not in ("0", "1"):
+        event = _LABELS.get(raw_event)
+        if event is None:
             raise DataFormatError(f"line {lineno}: event must be 0 or 1, got {raw_event!r}")
-        subjects.append(Subject(time, int(raw_arm), int(raw_event)))
-    if not subjects:
+        times.append(time)
+        arms.append(arm)
+        events.append(event)
+    if not times:
         raise DataFormatError("no data rows after the header")
-    return TrialDataset(tuple(subjects))
+    return TrialDataset._from_columns(tuple(times), tuple(arms), tuple(events))
 
 
 def build_risk_table(ds: TrialDataset) -> RiskTable:
     """Tabulate at-risk and event counts at each distinct event time."""
-    events = Counter(s.time for s in ds.subjects if s.event == 1)
+    events = Counter(compress(ds.times, ds.events))
     if not events:
         raise ValueError("no event times: dataset contains only censored subjects")
-    events1 = Counter(s.time for s in ds.subjects if s.event == 1 and s.arm == 1)
-    ordered = sorted(s.time for s in ds.subjects)
-    ordered1 = sorted(s.time for s in ds.subjects if s.arm == 1)
+    times1 = list(compress(ds.times, ds.arms))
+    events1 = Counter(compress(times1, compress(ds.events, ds.arms)))
+    ordered = sorted(ds.times)
+    ordered1 = sorted(times1)
     times = tuple(sorted(events))
     return RiskTable(
         ds,
@@ -178,6 +207,12 @@ def build_risk_table(ds: TrialDataset) -> RiskTable:
 
 def split_by_arm(ds: TrialDataset) -> tuple[TrialDataset, TrialDataset]:
     """Control-arm and experimental-arm subsets, each preserving order."""
-    arm0 = tuple(s for s in ds.subjects if s.arm == 0)
-    arm1 = tuple(s for s in ds.subjects if s.arm == 1)
-    return TrialDataset(arm0), TrialDataset(arm1)
+    on_arm0 = [not arm for arm in ds.arms]
+    return _select(ds, on_arm0), _select(ds, ds.arms)
+
+
+def _select(ds: TrialDataset, selectors) -> TrialDataset:
+    """The subjects whose selector is true, in order."""
+    return TrialDataset._from_columns(
+        *(tuple(compress(column, selectors)) for column in (ds.times, ds.arms, ds.events))
+    )

@@ -9,6 +9,7 @@ randomization variance.
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import ClassVar
 
 from .curves import StepSurvival, km_from_table
@@ -89,7 +90,7 @@ class ScoreSet:
     @property
     def arm1_sum(self) -> float:
         """Sum of raw scores on arm 1 == the weighted log-rank statistic."""
-        return sum(a for a, s in zip(self.raw, self.source.subjects) if s.arm == 1)
+        return sum(compress(self.raw, self.source.arms))
 
 
 @dataclass(frozen=True)
@@ -175,9 +176,9 @@ def compute_scores(rt: RiskTable, weights, spec: WeightSpec | None = None) -> Sc
         cum.append(running)
 
     raw = []
-    for s in rt.source.subjects:
-        j = rt.interval_index(s.time)  # an event's own event time is j - 1
-        if s.event == 1:
+    intervals = map(rt.interval_index, rt.source.times)
+    for j, event in zip(intervals, rt.source.events):  # an event's own event time is j - 1
+        if event == 1:
             raw.append(weights[j - 1] - cum[j - 1])
         else:
             raw.append(0.0 if j == 0 else -cum[j - 1])

@@ -14,11 +14,12 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 
 from .curves import (
-    ParametricSurvival,
     SurvivalCurve,
     fit_piecewise_exponential,
     interval_exposure,
     km_from_table,
+    piecewise_hazard,
+    piecewise_rmst,
     rmst,
 )
 from .dataset import RiskTable, TrialDataset, build_risk_table, split_by_arm
@@ -175,7 +176,8 @@ def _km_leave_one_out(rt: RiskTable, spec: EstimandSpec):
     times, at_risk, events = rt.times, rt.at_risk, rt.events
     starts = (0.0,) + times
     factors = [1.0 - d / n for d, n in zip(events, at_risk)]
-    ordered = sorted(s.time for s in rt.source.subjects)
+    source_times, source_events = rt.source.times, rt.source.events
+    ordered = sorted(source_times)
     # shifted level j, for every j < number of event times: an event time
     # before the last has a later death at risk, so n - 1 >= d there
     shifted = [1.0]
@@ -208,14 +210,14 @@ def _km_leave_one_out(rt: RiskTable, spec: EstimandSpec):
         return suffixes[h]
 
     def estimate(position: int) -> float:
-        subject = rt.source.subjects[position]
+        time = source_times[position]
         # without the subject holding the unique largest time, follow-up
         # ends at the second largest; with a tie it stays
-        _check_follow_up(spec, ordered[-2] if subject.time == ordered[-1] else ordered[-1])
-        pivot = bisect_right(times, subject.time)  # the level where the curves part
+        _check_follow_up(spec, ordered[-2] if time == ordered[-1] else ordered[-1])
+        pivot = bisect_right(times, time)  # the level where the curves part
         level = 1.0
         if pivot:
-            d = events[pivot - 1] - subject.event
+            d = events[pivot - 1] - source_events[position]
             level = shifted[pivot - 1] * (1.0 - d / (at_risk[pivot - 1] - 1) if d else 1.0)
 
         def at(h):
@@ -262,7 +264,14 @@ def _parametric_leave_one_out(ds: TrialDataset, cuts: tuple[float, ...], spec: E
         for person_time, total_events, events in columns:
             time = person_time[position]
             rates.append((total_events - events[position]) / time if time > 0 else 0.0)
-        return _curve_functional(ParametricSurvival(cuts, tuple(rates)), spec)
+        # the full fit validated the cuts; a rate can still overflow
+        if not all(0.0 <= rate < math.inf for rate in rates):
+            raise ValueError("rates must be finite and nonnegative")
+        return _functional(
+            lambda h: math.exp(-piecewise_hazard(cuts, rates, h)),
+            lambda h: piecewise_rmst(cuts, rates, h),
+            spec,
+        )
 
     return estimate
 
@@ -291,8 +300,8 @@ def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
     if spec.pooling == "arm":
         arm0, arm1 = split_by_arm(ds)
         groups = [
-            ("arm0", [i for i, s in enumerate(ds.subjects) if s.arm == 0], arm0),
-            ("arm1", [i for i, s in enumerate(ds.subjects) if s.arm == 1], arm1),
+            ("arm0", [i for i, arm in enumerate(ds.arms) if arm == 0], arm0),
+            ("arm1", [i for i, arm in enumerate(ds.arms) if arm == 1], arm1),
         ]
         groups = [g for g in groups if g[1]]
     else:
@@ -310,9 +319,9 @@ def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
         except ValueError as exc:
             raise ValueError(f"{exc} (full fit, group {label})") from None
         functionals[label] = full
-        n_events = subset.n_events
+        n_events, events = subset.n_events, subset.events
         for position, k in enumerate(indices):
-            if spec.backend == "km" and n_events - subset.subjects[position].event == 0:
+            if spec.backend == "km" and n_events - events[position] == 0:
                 raise ValueError(
                     f"degenerate leave-one-out: removing subject {k} leaves no events"
                 )

@@ -58,3 +58,11 @@ def test_bad_bound():
     for bound in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             inject_censoring(ds, bound, 0)
+
+
+def test_draw_that_underflows_to_zero_is_refused():
+    ds = TrialDataset((Subject(1.0, 0, 1),))
+    # seed 3's first draw is 0.113, and 5e-324 * 0.113 rounds to 0.0: no valid time
+    with pytest.raises(ValueError, match="time must be positive"):
+        inject_censoring(ds, 5e-324, 3)
+    assert inject_censoring(ds, 5e-324, 0).times == (5e-324,)  # 0.883 rounds up to 5e-324

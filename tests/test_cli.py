@@ -353,8 +353,13 @@ def test_defaults_given_print_what_omitted_prints(given_argv, omitted_argv, toy_
 # Numbers no horizon, weight or layout admits, plus a few that some do.
 EDGE_NUMBERS = ["nan", "inf", "-inf", "0", "-1", "-0.5", "1e300", "1e308", "0.5", "6", "18"]
 edge = st.sampled_from(EDGE_NUMBERS)
+HORIZONS = ("tau", "kappa", "tau1", "tau2")
+# Half the drawn horizons lie inside the toy trial's follow-up (4.38 to 34.64),
+# so the property reaches the estimators and not only the spec checks.
+horizon = edge | st.floats(min_value=0.5, max_value=30).map("{:.2f}".format)
 OPTION_VALUES = {  # method key -> its flag and the values drawn for it
-    **{key: (f"--{key}", edge) for key in ("rho", "gamma", "sstar", "tau", "kappa", "tau1", "tau2")},
+    **{key: (f"--{key}", edge) for key in ("rho", "gamma", "sstar")},
+    **{key: (f"--{key}", horizon) for key in HORIZONS},
     "backend": ("--backend", st.sampled_from(["km", "exp", "pwexp"])),
     "breakpoints": ("--breakpoints", st.builds("{},{}".format, edge, edge)),
     "pooling": ("--pooling", st.sampled_from(["arm", "pooled"])),
@@ -364,8 +369,11 @@ ESTIMANDS = ["rmst", "milestone", "wmst", "ahsw"]
 
 
 def _method_flags(draw, own, strays):
-    """Each of the method's ``own`` keys as a flag with chance 1/2, and now and then one stray."""
-    keys = [key for key in own if draw(st.booleans())]
+    """Each of the method's ``own`` keys as a flag, and now and then one stray.
+
+    A horizon, which its estimand needs, is given with chance 3/4; any other key with chance 1/2.
+    """
+    keys = [key for key in own if draw(st.booleans()) or (key in HORIZONS and draw(st.booleans()))]
     if draw(st.integers(0, 7)) == 0:
         keys.append(draw(st.sampled_from(sorted(set(strays) - set(own)))))
     return [f"{OPTION_VALUES[key][0]}={draw(OPTION_VALUES[key][1])}" for key in keys]

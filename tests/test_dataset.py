@@ -9,12 +9,14 @@ from survscore import (
     Subject,
     TrialDataset,
     build_risk_table,
+    inject_censoring,
     parse_dataset,
     split_by_arm,
 )
+from survscore.rng import SplitMix64
 from tests.conftest import TOY_CSV
 
-subjects_st = st.lists(
+rows_st = st.lists(
     st.tuples(
         st.floats(min_value=0.1, max_value=50).map(lambda x: round(x, 1)),
         st.integers(0, 1),
@@ -22,7 +24,14 @@ subjects_st = st.lists(
     ),
     min_size=1,
     max_size=25,
-).map(lambda rows: TrialDataset(tuple(Subject(*r) for r in rows)))
+)
+
+
+def _from_rows(rows):
+    return TrialDataset(tuple(Subject(*r) for r in rows))
+
+
+subjects_st = rows_st.map(_from_rows)
 
 
 def test_parse_toy():
@@ -76,6 +85,67 @@ def test_subject_validation():
         Subject(1.0, 2, 1)
     with pytest.raises(ValueError):
         Subject(1.0, 0, -1)
+
+
+def test_dataset_is_immutable():
+    ds = parse_dataset(TOY_CSV)
+    for name in ("times", "arms", "events", "subjects", "n", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ds, name, ())
+    with pytest.raises(AttributeError):
+        del ds.times
+    assert ds == parse_dataset(TOY_CSV)
+    assert ds.subjects is ds.subjects  # built once, on first use
+
+
+def test_parse_split_and_censor_build_no_subject(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a Subject was built")
+
+    monkeypatch.setattr(Subject, "__post_init__", refuse)
+    ds = parse_dataset(TOY_CSV)
+    assert (ds.n, ds.n_arm1, ds.n_events) == (12, 6, 7)
+    assert ds.times[:2] == (34.64, 4.38)
+    arm0, arm1 = split_by_arm(ds)
+    assert (arm0.n, arm1.n) == (6, 6)
+    assert inject_censoring(ds, 26.0, 7).n == 12
+    assert ds.without(0).times == ds.times[1:]
+
+
+def _csv(rows):
+    return "time,arm,event\n" + "".join(f"{t!r},{a},{e}\n" for t, a, e in rows)
+
+
+def _censored_records(ds, c_max, seed):
+    """inject_censoring's documented rule, applied one Subject at a time."""
+    rng = SplitMix64(seed)
+    out = []
+    for s in ds.subjects:
+        u = c_max * rng.next_uniform()
+        out.append(s if s.time <= u else Subject(u, s.arm, 0))
+    return TrialDataset(tuple(out))
+
+
+@given(rows_st, st.integers(0, 2**62), st.floats(min_value=0.5, max_value=60))
+@settings(max_examples=60, deadline=None)
+def test_parsed_columns_equal_records(rows, seed, c_max):
+    parsed, built = parse_dataset(_csv(rows)), _from_rows(rows)
+    assert parsed == built
+    assert hash(parsed) == hash(built)
+    for ds in (parsed, built):
+        assert ds.times == tuple(t for t, _, _ in rows)
+        assert ds.arms == tuple(a for _, a, _ in rows)
+        assert ds.events == tuple(e for _, _, e in rows)
+        assert all(type(t) is float for t in ds.times)
+        assert all(type(x) is int for x in ds.arms + ds.events)  # never bool: bools print as True
+        assert ds.subjects == tuple(Subject(*r) for r in rows)
+    by_records = tuple(TrialDataset(s for s in built.subjects if s.arm == arm) for arm in (0, 1))
+    assert split_by_arm(parsed) == split_by_arm(built) == by_records
+    censored = inject_censoring(parsed, c_max, seed)
+    assert censored == inject_censoring(built, c_max, seed) == _censored_records(built, c_max, seed)
+    assert all(type(x) is int for x in censored.events)
+    k = seed % len(rows)
+    assert parsed.without(k) == _from_rows(rows[:k] + rows[k + 1 :])
 
 
 def _columns(rt):

@@ -2,6 +2,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survscore import (
     EstimandSpec,
@@ -290,3 +292,57 @@ def test_jackknife_matches_naive_oracle(backend, pooling):
             want = oracles.jackknife_pseudo(ds, kind, backend, pooling, cuts=(2, 4, 6, 8), **params)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, abs=1e-9)
+
+
+GRID = [0.5 * k for k in range(1, 13)]  # few distinct times, so ties are common
+HORIZONS = [0.25 * k for k in range(1, 24)]  # on the grid and between its times
+
+
+@st.composite
+def _tied_trial_and_estimand(draw):
+    """A tie-heavy trial of 2 to 14 subjects, and an estimand with horizons on or between its times."""
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(GRID), st.integers(0, 1), st.integers(0, 1)),
+        min_size=2, max_size=14,
+    ))
+    horizon = st.sampled_from(HORIZONS)
+    kind = draw(st.sampled_from(["rmst", "milestone", "wmst", "ahsw"]))
+    if kind == "rmst":
+        params = {"tau": draw(horizon)}
+    elif kind == "milestone":
+        params = {"kappa": draw(horizon)}
+    elif kind == "wmst":
+        tau1, tau2 = sorted(draw(st.lists(horizon | st.just(0.0), min_size=2, max_size=2,
+                                          unique=True)))
+        params = {"tau1": tau1, "tau2": tau2}
+    else:
+        params = {"tau": draw(horizon), "log_scale": draw(st.booleans())}
+    cuts = tuple(sorted(draw(st.sets(st.sampled_from([1.0, 2.5, 4.0]), max_size=2))))
+    return _dataset(rows), kind, params, cuts
+
+
+def _oracle_values(ds, kind, backend, pooling, cuts, params):
+    """The naive refit's pseudo-values, or None where it cannot compute them."""
+    try:
+        values = oracles.jackknife_pseudo(ds, kind, backend, pooling, cuts=cuts, **params)
+    except (ArithmeticError, ValueError):  # 0/0 rates or ratios, log of 0
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
+@pytest.mark.parametrize("backend", ["km", "exponential", "piecewise"])
+@pytest.mark.parametrize("pooling", ["arm", "pooled"])
+@given(case=_tied_trial_and_estimand())
+@settings(max_examples=120, deadline=None)
+def test_downdate_matches_refit_oracle_on_random_tied_trials(backend, pooling, case):
+    """Equal to the naive refit where both compute; refused wherever the refit cannot compute."""
+    ds, kind, params, cuts = case
+    spec = EstimandSpec(kind=kind, backend=backend, breakpoints=cuts, pooling=pooling, **params)
+    want = _oracle_values(ds, kind, backend, pooling, cuts, params)
+    try:
+        got = pseudo_values(ds, spec).values
+    except ValueError:
+        return  # the library refuses more: one-subject groups, horizons past follow-up, ...
+    assert want is not None, "the library computed values the refit oracle cannot"
+    for g, w in zip(got, want):
+        assert math.isclose(g, w, rel_tol=1e-9, abs_tol=1e-9), (g, w)
