@@ -13,20 +13,21 @@ def inject_censoring(ds: TrialDataset, c_max: float, seed: int) -> TrialDataset:
     permutation module).  A subject whose time equals the draw exactly
     keeps the event.  Output times never exceed input times; events can
     only flip 1 -> 0; arms are untouched.  ``c_max`` must be finite and
-    positive.
+    positive, and large enough that its smallest draw, c_max * 2**-53,
+    does not round to 0.
     """
     if not (math.isfinite(c_max) and c_max > 0):
         raise ValueError("censoring bound must be finite and positive")
+    if c_max * 2.0**-53 == 0.0:
+        raise ValueError(f"censoring bound {c_max!r} is too small: a draw can round to 0")
     rng = SplitMix64(seed)
     times, events = [], []
     for time, event in zip(ds.times, ds.events):
-        u = c_max * rng.next_uniform()  # strictly inside (0, c_max), unless it underflows
+        u = c_max * rng.next_uniform()  # positive: the draw is >= 2**-53, and rounding is monotone
         if time <= u:
             times.append(time)
             events.append(event)
-        elif u > 0:
+        else:
             times.append(u)
             events.append(0)
-        else:
-            raise ValueError(f"time must be positive, got {u!r}")
     return TrialDataset._from_columns(tuple(times), ds.arms, tuple(events))

@@ -14,15 +14,16 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .censoring import inject_censoring
 from .curves import km_fit
 from .dataset import TrialDataset, parse_dataset, split_by_arm
 from .km_tests import milestone_test, rmst_test
-from .logrank import WeightSpec, score_chain, wlrt_test
+from .logrank import WeightSpec, score_chain
 from .permutation import EXACT_HALF_SUMS_LIMIT, exact_perm_p, mc_perm_p
-from .pseudo import EstimandSpec, pseudo_test, pseudo_values
+from .pseudo import EstimandSpec
 from .svgplot import PlotPanel, render_svg
 
 BACKEND_FLAGS = {"km": "km", "exp": "exponential", "pwexp": "piecewise"}
@@ -212,19 +213,6 @@ def cmd_pseudo(args) -> int:
     return 0
 
 
-# --method -> its test of a dataset under the spec the flags describe.  The
-# per-subject tests attach their ScoreSet or PseudoSet; rmst and milestone
-# are the closed-form KM tests and attach none.  The lambdas look the test
-# functions up at call time, so wrappers put on this module's names (the
-# perfbench tracer's) see every call.
-TESTS = {
-    **dict.fromkeys(("logrank", "fh", "mw"), lambda ds, spec: wlrt_test(ds, spec)),
-    "pseudo": lambda ds, spec: pseudo_test(pseudo_values(ds, spec)),
-    "rmst": lambda ds, spec: rmst_test(ds, spec.tau),
-    "milestone": lambda ds, spec: milestone_test(ds, spec.kappa),
-}
-
-
 def cmd_test(args) -> int:
     if (args.method == "pseudo") != (args.estimand is not None):
         raise ValueError("--estimand is required with --method pseudo and refused without it")
@@ -233,19 +221,22 @@ def cmd_test(args) -> int:
         raise ValueError(f"{', '.join(mc_only)}: read only with --perm mc")
     spec = _flag_spec(args.estimand or args.method, args, KM_TEST_KEYS.get(args.method))
     ds = _load(args)
-    result = TESTS[args.method](ds, spec)
-
-    direction, p_one_sided = spec.benefit, result.p_one_sided
+    # rmst and milestone are the closed-form KM tests; an EstimandSpec tests by pseudo-values
+    if args.method == "rmst":
+        result = rmst_test(ds, spec.tau)
+    elif args.method == "milestone":
+        result = milestone_test(ds, spec.kappa)
+    else:
+        result = spec.test(ds)
     if args.flip_direction:
-        direction = "upper" if direction == "lower" else "lower"
-        p_one_sided = 1.0 - p_one_sided
+        result = replace(result, benefit="upper" if result.benefit == "lower" else "lower")
 
     payload = {
         "method": result.method,
         "statistic": _jsonable(result.statistic),
         "variance": _jsonable(result.variance),
         "z": _jsonable(result.z),
-        "p_one_sided": _jsonable(p_one_sided),
+        "p_one_sided": _jsonable(result.p_one_sided),
         "warnings": list(result.warnings),
     }
     if args.perm:
@@ -256,19 +247,19 @@ def cmd_test(args) -> int:
             )
         values = result.per_subject.values
         if args.perm == "exact":
-            p = exact_perm_p(values, ds.arms, direction)
+            p = exact_perm_p(values, ds.arms, result.benefit)
             payload["permutation"] = {
                 "mode": "exact",
-                "direction": direction,
+                "direction": result.benefit,
                 "assignments": math.comb(ds.n, ds.n_arm1),
                 "p": _jsonable(p),
             }
         else:
             replicates = 10_000 if args.replicates is None else args.replicates
-            mc = mc_perm_p(values, ds.arms, replicates, args.seed or 0, direction)
+            mc = mc_perm_p(values, ds.arms, replicates, args.seed or 0, result.benefit)
             payload["permutation"] = {
                 "mode": "monte_carlo",
-                "direction": direction,
+                "direction": result.benefit,
                 "replicates": mc.replicates,
                 "seed": mc.seed,
                 "p": _jsonable(mc.p),

@@ -10,8 +10,8 @@ from itertools import accumulate, repeat
 
 from .curves import km_from_table, rmst
 from .dataset import TrialDataset, build_risk_table, split_by_arm
-from .logrank import TestResult, one_sided_p, z_value
-from .pseudo import EstimandSpec
+from .logrank import TestResult
+from .pseudo import EstimandSpec, _curve_functional
 
 
 def _arm_fits(ds: TrialDataset, horizon: float, what: str):
@@ -42,22 +42,25 @@ def _integrals_from(curve, tau):
     return [total - area if t <= tau else 0.0 for t, area in zip(jumps, areas)]
 
 
-def _difference_test(ds, spec, what, method, functional, coefficients) -> TestResult:
-    """Arm 1 minus arm 0 of a KM functional, with a Greenwood-type variance.
+def _difference_test(ds: TrialDataset, spec: EstimandSpec) -> TestResult:
+    """Arm 1 minus arm 0 of the spec's KM functional, with a Greenwood-type variance.
 
-    The variance sums c^2 d / (n (n - d)) over each arm's event times up
-    to the spec's horizon, where ``coefficients(curve)`` gives c at every
-    event time of the arm's risk table.
+    The spec is an rmst or a milestone estimand.  The variance sums
+    c^2 d / (n (n - d)) over each arm's event times up to its horizon,
+    where c at an event time is the curve's integral from there to tau
+    (rmst) or its value at kappa (milestone).
     """
     horizon = spec.horizon
-    fits = _arm_fits(ds, horizon, what)
-    estimates = [functional(curve) for _, curve in fits]
+    rmst_kind = spec.kind == "rmst"
+    fits = _arm_fits(ds, horizon, "restriction time" if rmst_kind else "milestone time")
+    estimates = [_curve_functional(curve, spec) for _, curve in fits]
     statistic = estimates[1] - estimates[0]
 
     variance = 0.0
     warnings = []
     for (rt, curve), label in zip(fits, ("arm 0", "arm 1")):
-        for t, n, d, c in zip(rt.times, rt.at_risk, rt.events, coefficients(curve)):
+        coefficients = _integrals_from(curve, horizon) if rmst_kind else repeat(curve.at(horizon))
+        for t, n, d, c in zip(rt.times, rt.at_risk, rt.events, coefficients):
             if t > horizon:
                 continue
             if n == d:
@@ -69,36 +72,15 @@ def _difference_test(ds, spec, what, method, functional, coefficients) -> TestRe
             if c != 0.0:
                 variance += c * c * d / (n * (n - d))
 
-    z = z_value(statistic, variance)
-    return TestResult(
-        method=method,
-        statistic=statistic,
-        variance=variance,
-        z=z,
-        p_one_sided=one_sided_p(z, spec.benefit),
-        warnings=tuple(warnings),
-    )
+    method = f"{spec.label} difference [KM]"
+    return TestResult(method, statistic, variance, spec.benefit, warnings=tuple(warnings))
 
 
 def rmst_test(ds: TrialDataset, tau: float) -> TestResult:
     """Difference in restricted mean survival up to tau, arm 1 minus arm 0."""
-    return _difference_test(
-        ds,
-        EstimandSpec("rmst", tau=tau),
-        "restriction time",
-        f"RMST({tau:g}) difference [KM]",
-        lambda curve: rmst(curve, tau),
-        lambda curve: _integrals_from(curve, tau),
-    )
+    return _difference_test(ds, EstimandSpec("rmst", tau=tau))
 
 
 def milestone_test(ds: TrialDataset, kappa: float) -> TestResult:
     """Difference in survival probability at time kappa, arm 1 minus arm 0."""
-    return _difference_test(
-        ds,
-        EstimandSpec("milestone", kappa=kappa),
-        "milestone time",
-        f"milestone({kappa:g}) difference [KM]",
-        lambda curve: curve.at(kappa),
-        lambda curve: repeat(curve.at(kappa)),
-    )
+    return _difference_test(ds, EstimandSpec("milestone", kappa=kappa))

@@ -67,6 +67,10 @@ class WeightSpec:
         """Standardized per-subject scores of ``ds`` under this weight."""
         return score_chain(ds, self)[2]
 
+    def test(self, ds: TrialDataset) -> "TestResult":
+        """The weighted log-rank test of ``ds`` under this weight."""
+        return wlrt_test(ds, self)
+
 
 @dataclass(frozen=True)
 class ScoreSet:
@@ -95,42 +99,45 @@ class ScoreSet:
 
 @dataclass(frozen=True)
 class TestResult:
-    """A test outcome: statistic, variance, z, and a one-sided p-value.
+    """A test outcome: statistic, variance, and which tail favors arm 1.
 
-    The p-value is oriented so that benefit on arm 1 gives small p; the
-    descriptor says which test produced it.  ``per_subject`` carries the
-    ScoreSet or PseudoSet behind the statistic for plotting.
+    ``benefit`` is "lower" when a smaller statistic favors arm 1 and
+    "upper" when a larger one does; ``z`` and the one-sided normal
+    p-value follow from the three, the p-value small when z lies on the
+    benefit tail.  The descriptor says which test produced it.
+    ``per_subject`` carries the ScoreSet or PseudoSet behind the
+    statistic for plotting.
     """
 
     method: str
     statistic: float
     variance: float
-    z: float
-    p_one_sided: float
+    benefit: str
     warnings: tuple[str, ...] = ()
     per_subject: object | None = None
+
+    def __post_init__(self):
+        if self.benefit not in ("lower", "upper"):
+            raise ValueError(f"benefit must be 'lower' or 'upper', got {self.benefit!r}")
+
+    @property
+    def z(self) -> float:
+        """statistic / sqrt(variance), with the 0/0 case pinned to 0."""
+        if self.variance > 0:
+            return self.statistic / math.sqrt(self.variance)
+        if self.statistic == 0:
+            return 0.0
+        return math.copysign(math.inf, self.statistic)
+
+    @property
+    def p_one_sided(self) -> float:
+        """Normal one-sided p-value, small when z lies on the ``benefit`` tail."""
+        z = self.z
+        return normal_cdf(z if self.benefit == "lower" else -z)
 
 
 def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def one_sided_p(z: float, benefit: str) -> float:
-    """Normal one-sided p-value, small when z lies on the ``benefit`` tail.
-
-    ``benefit`` is a spec's ``benefit``: "lower" when a smaller statistic
-    favors arm 1, "upper" when a larger one does.
-    """
-    return normal_cdf(z if benefit == "lower" else -z)
-
-
-def z_value(statistic: float, variance: float) -> float:
-    """statistic / sqrt(variance), with the 0/0 case pinned to 0."""
-    if variance > 0:
-        return statistic / math.sqrt(variance)
-    if statistic == 0:
-        return 0.0
-    return math.copysign(math.inf, statistic)
 
 
 def compute_weights(rt: RiskTable, pooled: StepSurvival, spec: WeightSpec) -> tuple[float, ...]:
@@ -250,12 +257,4 @@ def wlrt_test(ds: TrialDataset, spec: WeightSpec) -> TestResult:
     ds.require_two_arms()
     rt, _, scores = score_chain(ds, spec)
     u, v = u_and_v(rt, scores.weights)
-    z = z_value(u, v)
-    return TestResult(
-        method=spec.describe(),
-        statistic=u,
-        variance=v,
-        z=z,
-        p_one_sided=one_sided_p(z, spec.benefit),
-        per_subject=scores,
-    )
+    return TestResult(spec.describe(), u, v, spec.benefit, per_subject=scores)

@@ -23,7 +23,7 @@ from .curves import (
     rmst,
 )
 from .dataset import RiskTable, TrialDataset, build_risk_table, split_by_arm
-from .logrank import TestResult, mean_score_diff, one_sided_p, perm_moments, z_value
+from .logrank import TestResult, mean_score_diff, perm_moments
 
 ESTIMAND_KINDS = ("rmst", "milestone", "wmst", "ahsw")
 BACKENDS = ("km", "exponential", "piecewise")
@@ -90,24 +90,31 @@ class EstimandSpec:
             return self.tau2
         return self.tau
 
-    def describe(self) -> str:
+    @property
+    def label(self) -> str:
+        """The estimand alone, e.g. RMST(18); describe() adds the fit."""
         if self.kind == "rmst":
-            what = f"RMST({self.tau:g})"
-        elif self.kind == "milestone":
-            what = f"milestone({self.kappa:g})"
-        elif self.kind == "wmst":
-            what = f"WMST({self.tau1:g},{self.tau2:g})"
-        else:
-            scale = "log " if self.log_scale else ""
-            what = f"{scale}AHSW({self.tau:g})"
+            return f"RMST({self.tau:g})"
+        if self.kind == "milestone":
+            return f"milestone({self.kappa:g})"
+        if self.kind == "wmst":
+            return f"WMST({self.tau1:g},{self.tau2:g})"
+        scale = "log " if self.log_scale else ""
+        return f"{scale}AHSW({self.tau:g})"
+
+    def describe(self) -> str:
         backend = {"km": "KM", "exponential": "exponential", "piecewise": "piecewise exp"}[
             self.backend
         ]
-        return f"{what} [{backend}, {self.pooling}]"
+        return f"{self.label} [{backend}, {self.pooling}]"
 
     def per_subject(self, ds: TrialDataset) -> "PseudoSet":
         """Standardized pseudo-values of ``ds`` for this estimand."""
         return standardize_pseudo(pseudo_values(ds, self))
+
+    def test(self, ds: TrialDataset) -> "TestResult":
+        """The pseudo-value test of ``ds`` for this estimand."""
+        return pseudo_test(pseudo_values(ds, self))
 
 
 def _finite(x) -> bool:
@@ -367,12 +374,5 @@ def pseudo_test(ps: PseudoSet) -> TestResult:
     """
     statistic = mean_score_diff(ps.values, ps.source.arms)
     _, variance = perm_moments(ps.values, ps.source.n_arm1)
-    z = z_value(statistic, variance)
-    return TestResult(
-        method=f"pseudo-value {ps.spec.describe()}",
-        statistic=statistic,
-        variance=variance,
-        z=z,
-        p_one_sided=one_sided_p(z, ps.spec.benefit),
-        per_subject=ps,
-    )
+    method = f"pseudo-value {ps.spec.describe()}"
+    return TestResult(method, statistic, variance, ps.spec.benefit, per_subject=ps)

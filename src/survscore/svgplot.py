@@ -58,7 +58,10 @@ class PlotPanel:
             values = [p.value for p in self.points if p.arm == arm]
             if not values:
                 raise ValueError(f"panel needs points on arm {arm}")
-            means.append(sum(values) / len(values))
+            total = 0.0
+            for value in values:  # not sum(): it compensates from Python 3.12 on, moving bytes
+                total += value
+            means.append(total / len(values))
         object.__setattr__(self, "arm_means", tuple(means))
 
     @classmethod

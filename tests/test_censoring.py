@@ -62,7 +62,14 @@ def test_bad_bound():
 
 def test_draw_that_underflows_to_zero_is_refused():
     ds = TrialDataset((Subject(1.0, 0, 1),))
-    # seed 3's first draw is 0.113, and 5e-324 * 0.113 rounds to 0.0: no valid time
-    with pytest.raises(ValueError, match="time must be positive"):
-        inject_censoring(ds, 5e-324, 3)
-    assert inject_censoring(ds, 5e-324, 0).times == (5e-324,)  # 0.883 rounds up to 5e-324
+    # the smallest draw is c_max * 2**-53: a bound whose smallest draw rounds to 0.0 is
+    # refused up front, at every seed, whether or not this seed's draws would underflow
+    for bound in (5e-324, 2.0**-1022):
+        for seed in (0, 3):
+            with pytest.raises(ValueError, match=f"censoring bound {bound!r} is too small"):
+                inject_censoring(ds, bound, seed)
+    # one float above 2**-1022 the smallest draw rounds up to 5e-324: every draw is positive
+    smallest = math.nextafter(2.0**-1022, 1.0)
+    for seed in range(20):
+        (time,) = inject_censoring(ds, smallest, seed).times
+        assert 0.0 < time <= smallest

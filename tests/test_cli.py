@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 import shlex
 import xml.etree.ElementTree as ET
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from survscore import EstimandSpec, WeightSpec
+from survscore import EstimandSpec, WeightSpec, parse_dataset, wlrt_test
 from survscore.cli import KM_TEST_KEYS, METHOD_KEYS, main, parse_method_spec
 from tests.conftest import TOY_CSV
 
@@ -150,6 +151,24 @@ def test_test_flip_direction(toy_csv_path, capsys):
     assert flipped["permutation"]["direction"] == "upper"
 
 
+# Strong harm on arm 1: all 200 of its events come at 1-3 months, arm 0's at 10-12.
+STRONG_HARM_CSV = "time,arm,event\n" + "".join(
+    f"{start + 2 * i / 199!r},{arm},1\n" for arm, start in ((1, 1.0), (0, 10.0)) for i in range(200)
+)
+
+
+def test_test_flip_direction_takes_the_other_tail(tmp_path, capsys):
+    path = tmp_path / "harm.csv"
+    path.write_text(STRONG_HARM_CSV, encoding="utf-8")
+    assert run("test", "--input", str(path), "--method", "logrank", "--flip-direction") == 0
+    payload = json.loads(capsys.readouterr().out)
+    z = wlrt_test(parse_dataset(STRONG_HARM_CSV), WeightSpec.logrank()).z
+    assert z > 20
+    # Phi(-z), not 1 - Phi(z), which rounds to 0 this far out
+    assert payload["p_one_sided"] > 0
+    assert payload["p_one_sided"] == float(f"{0.5 * math.erfc(z / math.sqrt(2)):.6g}")
+
+
 def test_test_method_selects_weight_function(toy_csv_path, capsys):
     assert run("test", "--input", str(toy_csv_path), "--method", "mw", "--sstar", "0.5") == 0
     mw = json.loads(capsys.readouterr().out)
@@ -199,6 +218,13 @@ def test_censor_rejects_non_finite_bound(toy_csv_path, capsys):
         assert run("censor", "--input", str(toy_csv_path), "--max", bound) == 1
         err = capsys.readouterr().err
         assert err == "error: censoring bound must be finite and positive\n"
+
+
+def test_censor_rejects_bound_whose_draw_underflows(toy_csv_path, capsys):
+    assert run("censor", "--input", str(toy_csv_path), "--max", "5e-324") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: censoring bound 5e-324 ")
+    assert err.count("\n") == 1
 
 
 def test_plot_writes_svg_and_sibling_csv(toy_csv_path, tmp_path):
@@ -530,6 +556,14 @@ GOLDEN_RUNS = {  # name -> (argv without --input, digest)
     "test-milestone": (
         ["test", "--method", "milestone", "--kappa", "18"],
         "a66f07bbc75171f396c39c7ce8e5d6a07d2d0a2d809e758562c961f90371cc3c",
+    ),
+    "test-pseudo-ahsw": (  # the one estimand whose benefit is "lower"
+        ["test", "--method", "pseudo", "--estimand", "ahsw", "--tau", "18"],
+        "500c65bd5a2a76b9aac64764f96ab2a7c04e93397b24b163d438ff011424ecc8",
+    ),
+    "test-fh": (
+        ["test", "--method", "fh", "--rho", "0", "--gamma", "1"],
+        "83b8aec09ef722565b6484fc0db47a035b5e189d48077a5d8ed5d662fe15b3a5",
     ),
     "test-mc": (
         ["test", "--method", "mw", "--sstar", "0.5", "--perm", "mc", "--replicates", "500",

@@ -21,10 +21,12 @@ def test_rmst_test_toy(toy):
     assert res.variance > 0
     assert res.p_one_sided < 0.5  # longer restricted mean on arm 1
     assert res.warnings == ()
+    assert (res.method, res.benefit) == ("RMST(18) difference [KM]", "upper")
 
 
 def test_milestone_test_toy(toy):
     res = milestone_test(toy, 18.0)
+    assert (res.method, res.benefit) == ("milestone(18) difference [KM]", "upper")
     assert res.statistic == pytest.approx(0.0, abs=1e-12)
     assert res.p_one_sided == pytest.approx(0.5, abs=1e-12)
     assert res.variance > 0
@@ -47,9 +49,9 @@ def test_horizon_before_first_event_degenerates():
 
 
 def test_horizon_beyond_follow_up_errors(toy):
-    with pytest.raises(ValueError, match="beyond follow-up"):
+    with pytest.raises(ValueError, match="^restriction time 40 beyond follow-up 34.64 on arm 0$"):
         rmst_test(toy, 40.0)
-    with pytest.raises(ValueError, match="beyond follow-up"):
+    with pytest.raises(ValueError, match="^milestone time 33.22 beyond follow-up 33.21 on arm 1$"):
         milestone_test(toy, 33.22)  # arm-0 follow-up ends at 34.64, arm 1 at 33.21
 
 

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from survscore import logrank
 from survscore import (
     Subject,
     TrialDataset,
@@ -221,6 +223,11 @@ def test_wlrt_test_toy(toy):
     assert res.method == "log-rank"
 
 
+def test_spec_test_is_wlrt_test(toy):
+    for spec in ALL_SPECS:
+        assert spec.test(toy) == wlrt_test(toy, spec)
+
+
 def test_wlrt_fh00_and_modest1_coincide_with_logrank(toy):
     base = wlrt_test(toy, WeightSpec.logrank())
     for spec in (WeightSpec.fleming_harrington(0, 0), WeightSpec.modest(1.0)):
@@ -236,6 +243,33 @@ def test_wlrt_requires_two_arms():
     ds = TrialDataset((Subject(1.0, 0, 1), Subject(2.0, 0, 1)))
     with pytest.raises(ValueError, match="both arms"):
         wlrt_test(ds, WeightSpec.logrank())
+
+
+def test_result_z_and_p_at_zero_variance():
+    both_zero = logrank.TestResult("t", 0.0, 0.0, "lower")
+    assert both_zero.z == 0.0 and both_zero.p_one_sided == 0.5
+    assert replace(both_zero, benefit="upper").p_one_sided == 0.5
+    for statistic, benefit, p in ((2.0, "lower", 1.0), (2.0, "upper", 0.0),
+                                  (-2.0, "lower", 0.0), (-2.0, "upper", 1.0)):
+        result = logrank.TestResult("t", statistic, 0.0, benefit)
+        assert result.z == math.copysign(math.inf, statistic)
+        assert result.p_one_sided == p
+
+
+@given(st.floats(-5.0, 5.0), st.floats(1e-6, 1e6))
+def test_result_tails_are_complementary(z, variance):
+    lower = logrank.TestResult("t", z * math.sqrt(variance), variance, "lower")
+    upper = replace(lower, benefit="upper")
+    assert upper.z == lower.z
+    assert abs(lower.p_one_sided + upper.p_one_sided - 1.0) <= 1e-15
+    # the other tail is computed on its own, not as 1 - p
+    assert upper.p_one_sided == logrank.normal_cdf(-lower.z)
+    assert replace(upper, benefit="lower").p_one_sided == logrank.normal_cdf(lower.z)
+
+
+def test_result_refuses_unknown_benefit():
+    with pytest.raises(ValueError, match="benefit"):
+        logrank.TestResult("t", 1.0, 1.0, "down")
 
 
 def test_logrank_event_scores_strictly_decrease():

@@ -199,6 +199,15 @@ def test_pseudo_test_toy(toy):
     assert res.p_one_sided < 0.5  # larger restricted mean on arm 1 favors arm 1
 
 
+def test_spec_test_is_the_pseudo_value_test(toy):
+    for spec in (RMST18, EstimandSpec("ahsw", tau=18.0, backend="exponential", log_scale=False)):
+        res = spec.test(toy)
+        assert res == pseudo_test(pseudo_values(toy, spec))
+        assert res.benefit == spec.benefit
+    assert RMST18.label == "RMST(18)" and RMST18.describe() == "RMST(18) [KM, arm]"
+    assert EstimandSpec("wmst", tau1=0, tau2=6).label == "WMST(0,6)"
+
+
 def test_pseudo_test_mirrored_arms_zero():
     base = [(2.0, 1), (4.0, 1), (6.0, 0), (8.0, 1)]
     ds = TrialDataset(tuple(Subject(t, arm, e) for t, e in base for arm in (0, 1)))

@@ -69,6 +69,14 @@ def test_multi_panel_layout_and_shared_axis(toy):
     assert first == second
 
 
+def test_arm_means_add_left_to_right():
+    # 1 + 1e-16 rounds back to 1 at each step; a compensated sum (sum() from Python 3.12
+    # on) would keep the 2e-16, and the full-precision data-mean would move
+    values = (1.0, 1e-16, 1e-16, 0.5)
+    panel = PlotPanel.from_values("t", (1.0, 2.0, 3.0, 4.0), values, (0, 0, 0, 1), (1, 1, 1, 1))
+    assert panel.arm_means == (1.0 / 3, 0.5)
+
+
 def test_deterministic_output(toy):
     panel = toy_panel(toy)
     assert render_svg([panel]) == render_svg([panel])
