@@ -52,7 +52,7 @@ from .pseudo import (
     standardize_pseudo,
 )
 from .rng import SplitMix64
-from .svgplot import PanelPoint, PlotPanel, render_svg
+from .svgplot import PlotPanel, render_svg
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "DataFormatError",
     "EstimandSpec",
     "MonteCarloP",
-    "PanelPoint",
     "ParametricSurvival",
     "PlotPanel",
     "PseudoSet",

@@ -289,9 +289,9 @@ def cmd_panels(args) -> int:
         panels.append(PlotPanel.from_values(spec.describe(), ds.times, scaled, ds.arms, ds.events))
     out = Path(args.output)
     out.write_text(render_svg(panels, columns=args.columns), encoding="utf-8")
-    columns = {"method": [panel.title for panel in panels for _ in panel.points]} if compare else {}
+    columns = {"method": [panel.title for panel in panels for _ in panel.times]} if compare else {}
     columns.update(_subject_columns(ds, repeat=len(panels)))
-    columns["scaled_value"] = [p.value for panel in panels for p in panel.points]
+    columns["scaled_value"] = [v for panel in panels for v in panel.values]
     out.with_suffix(".csv").write_text(_tabulate(columns, "csv"), encoding="utf-8")
     return 0
 

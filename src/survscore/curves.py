@@ -8,6 +8,8 @@ quadrature), so repeated evaluation is reproducible to rounding error.
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .dataset import RiskTable, TrialDataset, build_risk_table
 
@@ -176,7 +178,8 @@ def fit_piecewise_exponential(ds: TrialDataset, breakpoints) -> ParametricSurviv
         raise ValueError("breakpoints must be positive and strictly ascending")
     rates = []
     for person_time, events in interval_exposure(ds, cuts):
-        total = sum(person_time)
+        # left to right, not sum(): it compensates from Python 3.12 on, moving bytes
+        total = reduce(add, person_time, 0.0)
         rates.append(sum(events) / total if total > 0 else 0.0)
     return ParametricSurvival(cuts, tuple(rates))
 

@@ -9,6 +9,8 @@ geometry can be checked programmatically.
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from xml.sax.saxutils import escape
 
 PANEL_W = 360
@@ -33,43 +35,39 @@ _STYLE = """\
 
 
 @dataclass(frozen=True)
-class PanelPoint:
-    time: float
-    value: float
-    arm: int
-    censored: bool
-
-
-@dataclass(frozen=True)
 class PlotPanel:
-    """One panel: a point per subject and a dashed mean line per arm.
+    """One panel: parallel per-subject columns, an event of 0 drawn as censored.
 
-    ``arm_means`` is derived from the points, so a mean line always sits
-    at the mean of its arm's points.
+    ``arm_means`` is derived from the points, so each arm's dashed mean line
+    always sits at the mean of its arm's points.
     """
 
     title: str
-    points: tuple[PanelPoint, ...]
+    times: tuple[float, ...]
+    values: tuple[float, ...]
+    arms: tuple[int, ...]
+    events: tuple[int, ...]
     arm_means: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
+        if len({len(c) for c in (self.times, self.values, self.arms, self.events)}) > 1:
+            raise ValueError("panel columns must have equal lengths")
         means = []
         for arm in (0, 1):
-            values = [p.value for p in self.points if p.arm == arm]
+            values = [v for v, a in zip(self.values, self.arms) if a == arm]
             if not values:
                 raise ValueError(f"panel needs points on arm {arm}")
-            total = 0.0
-            for value in values:  # not sum(): it compensates from Python 3.12 on, moving bytes
-                total += value
-            means.append(total / len(values))
+            # left to right, not sum(): it compensates from Python 3.12 on, moving bytes
+            means.append(reduce(add, values, 0.0) / len(values))
         object.__setattr__(self, "arm_means", tuple(means))
 
     @classmethod
     def from_values(cls, title, times, values, arms, events) -> "PlotPanel":
-        """Build a panel from parallel per-subject columns."""
-        return cls(title, tuple(
-            PanelPoint(t, v, a, e == 0) for t, v, a, e in zip(times, values, arms, events)
-        ))
+        """Build a panel from per-subject columns; a tuple column is shared, not copied.
+
+        Kept as a classmethod: ``perfbench/tracer.py`` times panels by wrapping it by name.
+        """
+        return cls(title, tuple(times), tuple(values), tuple(arms), tuple(events))
 
 
 def nice_ceiling(x: float) -> float:
@@ -117,20 +115,14 @@ def _panel_svg(panel: PlotPanel, x_max: float, offset_x: int, offset_y: int) -> 
     out.append(f'<text transform="translate(13,{_px((top + bottom) / 2)}) rotate(-90)" '
                'text-anchor="middle">Standardized score</text>')
 
-    for arm in (0, 1):
-        py = y_to_px(panel.arm_means[arm])
-        out.append(
-            f'<line class="mean-line arm{arm}" x1="{left}" y1="{_px(py)}" '
-            f'x2="{right}" y2="{_px(py)}" stroke-dasharray="6 4" '
-            f'data-mean="{panel.arm_means[arm]!r}"/>'
-        )
-    for p in panel.points:
-        classes = f"point arm{p.arm}" + (" censored" if p.censored else "")
-        out.append(
-            f'<circle class="{classes}" cx="{_px(x_to_px(p.time))}" '
-            f'cy="{_px(y_to_px(p.value))}" r="4" '
-            f'data-time="{p.time!r}" data-value="{p.value!r}"/>'
-        )
+    for arm, mean in enumerate(panel.arm_means):
+        py = _px(y_to_px(mean))
+        out.append(f'<line class="mean-line arm{arm}" x1="{left}" y1="{py}" x2="{right}" y2="{py}" '
+                   f'stroke-dasharray="6 4" data-mean="{mean!r}"/>')
+    for time, value, arm, event in zip(panel.times, panel.values, panel.arms, panel.events):
+        classes = f"point arm{arm}" + (" censored" if event == 0 else "")
+        out.append(f'<circle class="{classes}" cx="{_px(x_to_px(time))}" cy="{_px(y_to_px(value))}" '
+                   f'r="4" data-time="{time!r}" data-value="{value!r}"/>')
     out.append("</g>")
     return out
 
@@ -142,7 +134,7 @@ def render_svg(panels, columns: int = 3) -> str:
         raise ValueError("nothing to render")
     if columns < 1:
         raise ValueError(f"columns must be at least 1, got {columns}")
-    x_max = nice_ceiling(max(p.time for panel in panels for p in panel.points))
+    x_max = nice_ceiling(max(max(panel.times) for panel in panels))
     columns = min(columns, len(panels))
     rows = (len(panels) + columns - 1) // columns
     width, height = columns * PANEL_W, rows * PANEL_H

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from survscore import Subject, TrialDataset, parse_dataset
@@ -90,3 +93,14 @@ def pseudo_friendly_dataset(seed, max_per_arm=15):
         ]
         if min(events_below) >= 2:
             return ds, tau
+
+
+def simulated_trial_csv(tmp_path):
+    """``scripts/simulate_delayed_effect.py --n-per-arm 150 --seed 1``, written to tmp_path."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "simulate_delayed_effect.py"
+    spec = importlib.util.spec_from_file_location("simulate_delayed_effect", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "trial.csv"
+    assert script.main(["--n-per-arm", "150", "--seed", "1", "--output", str(out)]) == 0
+    return out

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from survscore import EstimandSpec, WeightSpec, parse_dataset, wlrt_test
 from survscore.cli import KM_TEST_KEYS, METHOD_KEYS, main, parse_method_spec
-from tests.conftest import TOY_CSV
+from tests.conftest import TOY_CSV, simulated_trial_csv
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -596,6 +596,21 @@ def test_output_bytes_match_golden(name, toy_csv_path, tmp_path, capsys, monkeyp
         if path != toy_csv_path:
             h.update(path.name.encode() + b"\0" + path.read_bytes())
     assert h.hexdigest() == digest
+
+
+def test_parametric_panel_bytes_on_simulated_trial(tmp_path):
+    # An exponential fit over 300 subjects: its person-time total must add left to
+    # right, or the full-precision data-value/data-mean move with the Python version
+    svg = tmp_path / "panel.svg"
+    trial = simulated_trial_csv(tmp_path)
+    assert run("plot", "--input", str(trial), "--spec", "milestone:kappa=18,backend=exp",
+               "--output", str(svg)) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+        "ecbceca66208b0234ef4854eb41d1cc6b923c62ac1ad1b5a3e4f793d72c61dc4"
+    )
+    assert hashlib.sha256(svg.with_suffix(".csv").read_bytes()).hexdigest() == (
+        "71b88ddfb91a7abf612dc3ca818d75a11ebe21f6ee2e419dd5a868b739930b6a"
+    )
 
 
 # Out of time order, and the first subject by time is censored before any

@@ -120,6 +120,13 @@ def test_fit_exponential_edges():
     assert flat.at(100.0) == 1.0
 
 
+def test_fit_exponential_adds_person_time_left_to_right():
+    # 1e16 + 1 rounds back to 1e16 at each step; a compensated sum (sum() from Python
+    # 3.12 on) would keep the 2 and give 2.9999999999999994e-16
+    ds = TrialDataset([Subject(1e16, 0, 1), Subject(1.0, 1, 1), Subject(1.0, 0, 1)])
+    assert fit_exponential(ds).rates == (3 / 1e16,)
+
+
 def test_piecewise_single_far_breakpoint_equals_exponential(toy):
     pw = fit_piecewise_exponential(toy, (1000.0,))
     assert pw.rates[0] == pytest.approx(fit_exponential(toy).rates[0], abs=1e-12)

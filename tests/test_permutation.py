@@ -1,7 +1,5 @@
-import importlib.util
 import math
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +13,7 @@ from survscore import (
     wlrt_test,
 )
 from tests import oracles
-from tests.conftest import random_dataset
+from tests.conftest import random_dataset, simulated_trial_csv
 
 
 def small_case(seed, max_n=9):
@@ -174,21 +172,11 @@ def test_mc_matches_sequential_oracle(n, n1, direction):
     assert got.p == float(oracles.sequential_mc_perm_p(values, arms, replicates, n1, direction))
 
 
-def simulated_trial_300(tmp_path):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "simulate_delayed_effect.py"
-    spec = importlib.util.spec_from_file_location("simulate_delayed_effect", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    out = tmp_path / "trial.csv"
-    assert script.main(["--seed", "1", "--output", str(out)]) == 0
-    return parse_dataset(out.read_text())
-
-
 def test_mc_extreme_counts_pinned(tmp_path):
     # Extreme counts of the word-by-word draw (oracles.sequential_choose) on
     # an n = 300 simulated trial; a change to them is a change to the
     # Monte-Carlo stream and must be versioned.
-    ds = simulated_trial_300(tmp_path)
+    ds = parse_dataset(simulated_trial_csv(tmp_path).read_text())
     scores = wlrt_test(ds, WeightSpec.logrank()).per_subject
     replicates = 2000
     pinned = {(0, "lower"): 9, (0, "upper"): 1991, (7, "lower"): 10, (7, "upper"): 1990}

@@ -46,8 +46,8 @@ def test_mean_lines_match_statistic(toy):
     lines = mean_lines(root.findall("svg:g", SVG_NS)[0])
     gap = abs(float(lines[0].get("data-mean")) - float(lines[1].get("data-mean")))
     values_by_arm = {0: [], 1: []}
-    for p in panel.points:
-        values_by_arm[p.arm].append(p.value)
+    for value, arm in zip(panel.values, panel.arms):
+        values_by_arm[arm].append(value)
     statistic = sum(values_by_arm[1]) / len(values_by_arm[1]) - sum(values_by_arm[0]) / len(
         values_by_arm[0]
     )
@@ -104,12 +104,23 @@ def test_panel_needs_both_arms():
 
 
 def test_panel_derives_arm_means():
-    points = PlotPanel.from_values(
-        "x", (1.0, 2.0, 3.0), (0.5, -0.5, 0.25), (0, 1, 1), (1, 1, 0)
-    ).points
-    assert PlotPanel("x", points).arm_means == (0.5, -0.125)
+    columns = ((1.0, 2.0, 3.0), (0.5, -0.5, 0.25), (0, 1, 1), (1, 1, 0))
+    assert PlotPanel("x", *columns).arm_means == (0.5, -0.125)
     with pytest.raises(TypeError):
-        PlotPanel("x", points, (0.5, -0.125))  # means are not an input
+        PlotPanel("x", *columns, (0.5, -0.125))  # means are not an input
+
+
+def test_panel_refuses_columns_of_unequal_length():
+    # zipping the columns would silently drop the third subject
+    with pytest.raises(ValueError, match="equal lengths"):
+        PlotPanel.from_values("x", (1.0, 2.0, 3.0), (0.5, -0.5), (0, 1, 1), (1, 1, 1))
+    with pytest.raises(ValueError, match="equal lengths"):
+        PlotPanel("x", (1.0, 2.0), (0.5, -0.5), (0, 1), (1,))
+
+
+def test_from_values_shares_tuple_columns(toy):
+    panel = toy_panel(toy)
+    assert panel.times is toy.times and panel.arms is toy.arms and panel.events is toy.events
 
 
 def test_render_empty():
