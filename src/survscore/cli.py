@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -49,19 +50,53 @@ def _tabulate(columns: dict, fmt: str) -> str:
     """Named columns of equal length -> CSV or a JSON list of rows.
 
     Floats get 6 significant digits; None is an empty CSV cell or a JSON null.
+    CSV rows are written through one ``%`` row template, applied once to the
+    template repeated per row: a column of floats gets a ``%.6g`` slot, a
+    column of ints a ``%s`` slot, and any other column is turned into the text
+    ``csv.writer`` would write, cell by cell, and gets a ``%s`` slot.
     """
     if fmt == "json":
         cells = [[_jsonable(v) if isinstance(v, float) else v for v in c] for c in columns.values()]
         return json.dumps([dict(zip(columns, row)) for row in zip(*cells)], indent=2) + "\n"
-    cells = [
-        ["" if v is None else f"{v:.6g}" if isinstance(v, float) else v for v in c]
-        for c in columns.values()
-    ]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(zip(*cells))
-    return buffer.getvalue()
+    header = buffer.getvalue()
+    quoted = {}  # keyed by str only: 0, 0.0 and False hash equal but are written differently
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, float):
+            return f"{v:.6g}"
+        if not isinstance(v, str):
+            return str(v)
+        if v not in quoted:
+            # csv keeps its own quoting rule (Python 3.11 leaves a bare \r unquoted), so
+            # ask it, beside a second field: one empty field alone is written as ""
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerow((v, ""))
+            quoted[v] = buffer.getvalue()[:-2]
+        return quoted[v]
+
+    slots, cells = [], []
+    for column in columns.values():
+        types = set(map(type, column))
+        if types == {float}:
+            slots.append("%.6g")
+            cells.append(column)
+        elif types <= {int, bool}:  # %s writes str(v), as csv.writer does
+            slots.append("%s")
+            cells.append(column)
+        else:
+            slots.append("%s")
+            text = list(map(cell, column))
+            # a row of one empty field is written as "", like csv.writer writes it
+            cells.append([t or '""' for t in text] if len(columns) == 1 else text)
+    template = ",".join(slots) + "\n"
+    rows = len(cells[0]) if cells else 0  # one % for all rows builds no string per row
+    return header + (template * rows) % tuple(itertools.chain.from_iterable(zip(*cells)))
 
 
 def _subject_columns(ds: TrialDataset, repeat: int = 1) -> dict:

@@ -5,6 +5,11 @@ is deterministic (no timestamps or generated ids), so files are byte-stable
 for identical inputs.  Pixel coordinates are rounded for readability;
 ``data-*`` attributes carry the underlying values at full precision so the
 geometry can be checked programmatically.
+
+Each point is written through one ``%`` template.  The text a subject's
+point shares across panels (its class, ``cx`` and ``data-time``) is
+formatted once per figure for each distinct set of time, arm and event
+columns, so only ``cy`` and ``data-value`` are formatted per panel.
 """
 
 import math
@@ -32,6 +37,9 @@ _STYLE = """\
   .mean-line.arm0 { stroke: #4477aa; stroke-width: 1.5; }
   .mean-line.arm1 { stroke: #ee7733; stroke-width: 1.5; }
 """
+_POINT_CLASS = {(arm, event): f"point arm{arm}" + (" censored" if event == 0 else "")
+                for arm in (0, 1) for event in (0, 1)}  # True and 1.0 find "arm1"
+_POINT = '%s%.2f%s%r"/>'  # head, cy, tail, data-value
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,10 @@ class PlotPanel:
     def __post_init__(self):
         if len({len(c) for c in (self.times, self.values, self.arms, self.events)}) > 1:
             raise ValueError("panel columns must have equal lengths")
+        for name, column in (("arm", self.arms), ("event", self.events)):
+            if not set(column) <= {0, 1}:
+                bad = next(v for v in column if v not in (0, 1))
+                raise ValueError(f"{name} must be 0 or 1, got {bad!r}")
         means = []
         for arm in (0, 1):
             values = [v for v, a in zip(self.values, self.arms) if a == arm]
@@ -86,7 +98,17 @@ def _px(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _panel_svg(panel: PlotPanel, x_max: float, offset_x: int, offset_y: int) -> list[str]:
+def _point_text(panel: PlotPanel, x_max: float) -> tuple[list[str], list[str]]:
+    """Each subject's point text before ``cy`` (head) and before ``data-value`` (tail)."""
+    heads = [f'<circle class="{_POINT_CLASS[arm, event]}" '
+             f'cx="{_px(MARGIN_L + (t / x_max) * PLOT_W)}" cy="'
+             for t, arm, event in zip(panel.times, panel.arms, panel.events)]
+    tails = [f'" r="4" data-time="{t!r}" data-value="' for t in panel.times]
+    return heads, tails
+
+
+def _panel_svg(panel: PlotPanel, x_max: float, offset_x: int, offset_y: int,
+               heads: list[str], tails: list[str]) -> list[str]:
     def x_to_px(t):
         return MARGIN_L + (t / x_max) * PLOT_W
 
@@ -119,10 +141,7 @@ def _panel_svg(panel: PlotPanel, x_max: float, offset_x: int, offset_y: int) -> 
         py = _px(y_to_px(mean))
         out.append(f'<line class="mean-line arm{arm}" x1="{left}" y1="{py}" x2="{right}" y2="{py}" '
                    f'stroke-dasharray="6 4" data-mean="{mean!r}"/>')
-    for time, value, arm, event in zip(panel.times, panel.values, panel.arms, panel.events):
-        classes = f"point arm{arm}" + (" censored" if event == 0 else "")
-        out.append(f'<circle class="{classes}" cx="{_px(x_to_px(time))}" cy="{_px(y_to_px(value))}" '
-                   f'r="4" data-time="{time!r}" data-value="{value!r}"/>')
+    out.extend(map(_POINT.__mod__, zip(heads, map(y_to_px, panel.values), tails, panel.values)))
     out.append("</g>")
     return out
 
@@ -145,7 +164,14 @@ def render_svg(panels, columns: int = 3) -> str:
         f"<style>\n{_STYLE}</style>",
         f'<rect fill="#ffffff" x="0" y="0" width="{width}" height="{height}"/>',
     ]
+    # keyed by identity, not value: columns (1,) and (1.0,) are equal but write different
+    # data-time text; ``panels`` keeps every column alive, so no id is reused meanwhile
+    shared = {}
     for i, panel in enumerate(panels):
-        out.extend(_panel_svg(panel, x_max, (i % columns) * PANEL_W, (i // columns) * PANEL_H))
+        key = (id(panel.times), id(panel.arms), id(panel.events))
+        if key not in shared:
+            shared[key] = _point_text(panel, x_max)
+        out.extend(_panel_svg(panel, x_max, (i % columns) * PANEL_W, (i // columns) * PANEL_H,
+                              *shared[key]))
     out.append("</svg>")
     return "\n".join(out) + "\n"

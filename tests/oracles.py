@@ -5,10 +5,14 @@ paths (direct products, direct sums, full enumeration), deliberately not
 sharing structure with the package internals it checks.
 """
 
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
+from xml.sax.saxutils import escape
 
+from survscore import svgplot
 from survscore.rng import SplitMix64
 
 
@@ -255,3 +259,76 @@ def unfinalize(word):
     z = _undo_xorshift(word, 31)
     z = _undo_xorshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64, 27)
     return _undo_xorshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64, 30)
+
+
+def tabulate_csv(columns):
+    """Named columns -> CSV, every cell formatted on its own and every row written by csv."""
+    cells = [
+        ["" if v is None else f"{v:.6g}" if isinstance(v, float) else v for v in c]
+        for c in columns.values()
+    ]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*cells))
+    return buffer.getvalue()
+
+
+def render_svg(panels, columns=3):
+    """``svgplot.render_svg`` drawn one f-string per point, with no text shared across panels."""
+    g = svgplot
+    panels = list(panels)
+    x_max = g.nice_ceiling(max(max(panel.times) for panel in panels))
+    columns = min(columns, len(panels))
+    rows = (len(panels) + columns - 1) // columns
+    width, height = columns * g.PANEL_W, rows * g.PANEL_H
+
+    def x_to_px(t):
+        return g.MARGIN_L + (t / x_max) * g.PLOT_W
+
+    def y_to_px(v):
+        return g.MARGIN_T + (g.Y_LIMIT - v) / (2 * g.Y_LIMIT) * g.PLOT_H
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f"<style>\n{g._STYLE}</style>",
+        f'<rect fill="#ffffff" x="0" y="0" width="{width}" height="{height}"/>',
+    ]
+    left, right = g.MARGIN_L, g.MARGIN_L + g.PLOT_W
+    top, bottom = g.MARGIN_T, g.MARGIN_T + g.PLOT_H
+    for i, panel in enumerate(panels):
+        out.append(f'<g class="panel" transform="translate({(i % columns) * g.PANEL_W},'
+                   f'{(i // columns) * g.PANEL_H})" '
+                   f'data-method="{escape(panel.title, {chr(34): "&quot;"})}">')
+        out.append(f'<rect class="frame" x="{left}" y="{top}" width="{g.PLOT_W}" '
+                   f'height="{g.PLOT_H}"/>')
+        out.append(f'<text class="title" x="{(left + right) / 2:.2f}" y="{g.MARGIN_T - 12}" '
+                   f'text-anchor="middle">{escape(panel.title)}</text>')
+        for k in range(5):
+            t = x_max * k / 4
+            px = x_to_px(t)
+            out.append(f'<line class="tick" x1="{px:.2f}" y1="{bottom}" x2="{px:.2f}" '
+                       f'y2="{bottom + 4}"/>')
+            out.append(f'<text x="{px:.2f}" y="{bottom + 16}" text-anchor="middle">{t:.6g}</text>')
+        for v in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            py = y_to_px(v)
+            out.append(f'<line class="tick" x1="{left - 4}" y1="{py:.2f}" x2="{left}" '
+                       f'y2="{py:.2f}"/>')
+            out.append(f'<text x="{left - 7}" y="{py + 3.5:.2f}" text-anchor="end">{v:g}</text>')
+        out.append(f'<text x="{(left + right) / 2:.2f}" y="{bottom + 32}" '
+                   'text-anchor="middle">Time (months)</text>')
+        out.append(f'<text transform="translate(13,{(top + bottom) / 2:.2f}) rotate(-90)" '
+                   'text-anchor="middle">Standardized score</text>')
+        for arm, mean in enumerate(panel.arm_means):
+            py = f"{y_to_px(mean):.2f}"
+            out.append(f'<line class="mean-line arm{arm}" x1="{left}" y1="{py}" x2="{right}" '
+                       f'y2="{py}" stroke-dasharray="6 4" data-mean="{mean!r}"/>')
+        for time, value, arm, event in zip(panel.times, panel.values, panel.arms, panel.events):
+            classes = f"point arm{int(arm)}" + (" censored" if event == 0 else "")
+            out.append(f'<circle class="{classes}" cx="{x_to_px(time):.2f}" '
+                       f'cy="{y_to_px(value):.2f}" r="4" data-time="{time!r}" '
+                       f'data-value="{value!r}"/>')
+        out.append("</g>")
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -4,8 +4,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
+import textwrap
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,8 +18,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from survscore import EstimandSpec, WeightSpec, parse_dataset, wlrt_test
-from survscore.cli import KM_TEST_KEYS, METHOD_KEYS, main, parse_method_spec
+from survscore.cli import KM_TEST_KEYS, METHOD_KEYS, _tabulate, main, parse_method_spec
+from tests import oracles
 from tests.conftest import TOY_CSV, simulated_trial_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -641,6 +648,36 @@ def test_scores_bytes_with_weight_missing(tmp_path, capsys):
     )
 
 
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.5e-310, 1e16, 1e-7]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+_CSV_STRINGS = st.one_of(
+    st.sampled_from(["", " ", " padded ", "a,b", ",", 'say "hi"', '"', "x\ny", "x\ry", "\r\n"]),
+    st.text(),
+)
+_CSV_CELLS = st.one_of(_CSV_FLOATS, st.integers(), st.booleans(), st.none(), _CSV_STRINGS)
+
+
+@st.composite
+def _csv_tables(draw):
+    """1-7 named columns of one length: each all floats, or any mix of cell types."""
+    rows = draw(st.integers(0, 6))
+    names = draw(st.lists(st.text(max_size=4), min_size=1, max_size=7, unique=True))
+    float_column = st.lists(_CSV_FLOATS, min_size=rows, max_size=rows)
+    mixed_column = st.lists(_CSV_CELLS, min_size=rows, max_size=rows)
+    return {name: draw(st.one_of(float_column, mixed_column)) for name in names}
+
+
+@given(columns=_csv_tables())
+@example(columns={"only": [None, "", 0.0, "x"]})  # one column: an empty cell is written ""
+@example(columns={"a": [0, 0.0, False, None], "b": [1, 1.0, True, "1"]})  # equal, not alike
+@example(columns={"int": [0, True, 10**20], "float": [1.5, -0.0, math.nan]})
+@settings(max_examples=200, deadline=None)
+def test_tabulate_csv_matches_per_cell_oracle(columns):
+    assert _tabulate(columns, "csv") == oracles.tabulate_csv(columns)
+
+
 def test_format_only_on_tabular_subcommands(toy_csv_path, capsys):
     assert run("km", "--input", str(toy_csv_path), "--format", "json") == 0
     for argv in (["test", "--method", "logrank"], ["censor"]):
@@ -667,3 +704,32 @@ def test_readme_quick_start_runs(toy_csv_path, tmp_path, capsys):
             at = argv.index("--output") + 1
             argv[at] = str(tmp_path / argv[at])
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def _ci_step_script(name):
+    """The ``run`` script of the CI workflow step called ``name``."""
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    step = workflow.split(f"- name: {name}\n", 1)[1].split("\n      - name: ", 1)[0]
+    return textwrap.dedent(step.split("run: |\n", 1)[1])
+
+
+def test_standard_library_only_ci_step(tmp_path, capsys):
+    # The CI step runs before any test dependency is installed; here it runs on this
+    # interpreter, named `python` on PATH, and writes what an in-process run writes.
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "python").symlink_to(sys.executable)
+    env = dict(os.environ, PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
+               RUNNER_TEMP=str(tmp_path))
+    done = subprocess.run(["bash", "-eo", "pipefail", "-c", _ci_step_script(
+        "Standard-library-only runtime")], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stderr
+    trial = str(tmp_path / "trial.csv")
+    for name, argv in (
+        ("scores.csv", ["scores", "--test", "mw", "--sstar", "0.5"]),
+        ("pseudo.csv", ["pseudo", "--estimand", "rmst", "--tau", "12", "--backend", "exp"]),
+    ):
+        assert run(*argv, "--input", trial) == 0
+        assert (tmp_path / name).read_text(encoding="utf-8") == capsys.readouterr().out
+    assert (tmp_path / "compare.svg").is_file()

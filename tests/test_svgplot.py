@@ -2,8 +2,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from survscore import WeightSpec, wlrt_test
+from survscore import WeightSpec, parse_dataset, wlrt_test
+from survscore.cli import parse_method_spec
 from survscore.svgplot import PlotPanel, nice_ceiling, render_svg
+from tests import oracles
+from tests.conftest import random_dataset, simulated_trial_csv
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -96,6 +99,62 @@ def test_one_subject_per_arm_lines_sit_on_markers():
     for circle in circles:
         arm = circle.get("class").split()[1]
         assert line_y[arm] == float(circle.get("data-value"))
+
+
+def compare_panels(ds, specs):
+    """Panels as ``compare`` builds them: every one shares the dataset's columns."""
+    panels = []
+    for text in specs:
+        spec = parse_method_spec(text)
+        scaled = spec.per_subject(ds).scaled
+        panels.append(PlotPanel.from_values(spec.describe(), ds.times, scaled, ds.arms, ds.events))
+    return panels
+
+
+def test_points_match_per_point_oracle_on_shared_columns(tmp_path):
+    trial = parse_dataset(simulated_trial_csv(tmp_path).read_text(encoding="utf-8"))
+    panels = compare_panels(trial, ["logrank", "fh:rho=0,gamma=1", "rmst:tau=18",
+                                    "milestone:kappa=18,backend=exp"])
+    assert render_svg(panels, columns=2) == oracles.render_svg(panels, columns=2)
+
+
+def test_points_match_per_point_oracle_across_datasets(toy):
+    # two datasets in one figure: each set of columns gets its own point text, drawn
+    # on the figure's shared time axis, and panels alternate between the two sets
+    other = random_dataset(7, max_n=30)
+    assert other.n != toy.n and other.times != toy.times
+    panels = compare_panels(toy, ["logrank", "mw:sstar=0.5"])
+    panels[1:1] = compare_panels(other, ["fh:rho=1,gamma=0"])
+    assert render_svg(panels) == oracles.render_svg(panels)
+
+
+def test_points_match_per_point_oracle_on_library_panels():
+    # int and bool labels, an int value, and int times beside equal float times,
+    # which must keep writing data-time="1" and data-time="1.0" respectively
+    arms, events = (0, 1, True, False), (1, 0, True, 0)
+    panels = [
+        PlotPanel.from_values("ints", (1, 2, 3, 4), (0.5, -0.25, 1, -1.0), arms, events),
+        PlotPanel.from_values("floats", (1.0, 2.0, 3.0, 4.0), (0.5, -0.25, 1, -1.0), arms, events),
+    ]
+    svg = render_svg(panels)
+    assert svg == oracles.render_svg(panels)
+    assert 'data-time="1" ' in svg and 'data-time="1.0" ' in svg
+
+
+def test_panel_refuses_labels_outside_0_1():
+    # an arm of 2 used to be drawn unstyled and left out of both mean lines
+    with pytest.raises(ValueError, match="arm must be 0 or 1, got 2"):
+        PlotPanel.from_values("x", (1.0, 2.0, 3.0), (0.5, -0.5, 0.0), (0, 1, 2), (1, 1, 1))
+    with pytest.raises(ValueError, match="event must be 0 or 1, got -1"):
+        PlotPanel.from_values("x", (1.0, 2.0), (0.5, -0.5), (0, 1), (1, -1))
+
+
+def test_bool_labels_draw_as_ints():
+    panel = PlotPanel.from_values("x", (1.0, 2.0), (1.0, -1.0), (False, True), (True, False))
+    assert panel.arm_means == (1.0, -1.0)
+    circles = ET.fromstring(render_svg([panel])).findall("svg:g/svg:circle", SVG_NS)
+    classes = [c.get("class") for c in circles]
+    assert classes == ["point arm0", "point arm1 censored"]
 
 
 def test_panel_needs_both_arms():
