@@ -158,18 +158,17 @@ def mc_perm_p(values, arms, replicates: int, seed: int, direction: str = "lower"
 
     Replicate r draws its arm-1 subset from the child stream (seed, r),
     so the result is bit-stable regardless of how replicates are
-    scheduled.  Sums and tie handling use the same exact integer image as
-    the exact test.
+    scheduled.  It samples the n1 arm-1 values straight from the exact
+    integer image, the items ``choose(n, n1)`` would index, and compares
+    their sum with the same bound, ties included, as the exact test.
     """
     n1, scaled, bound = _lower_tail(values, arms, direction)
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    n = len(scaled)
     root = SplitMix64(seed)
     extreme = 0
     for r in range(replicates):
-        stream = root.substream(r)
-        if sum(map(scaled.__getitem__, stream.choose(n, n1))) <= bound:
+        if sum(root.substream(r).sample(scaled, n1)) <= bound:
             extreme += 1
     p = (1 + extreme) / (replicates + 1)
     return MonteCarloP(p, math.sqrt(p * (1.0 - p) / replicates), replicates, seed)

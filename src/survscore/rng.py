@@ -17,10 +17,18 @@ the next lane, so no lane ever reads another.  The lanes are unpacked from
 explicit little-endian bytes.  The packed words are the same integers the
 per-word finalizer gives.
 
+``sample(population, k)`` is the one partial Fisher-Yates draw.  It shuffles
+a copy of the items themselves, so a Monte-Carlo replicate draws its arm-1
+values directly instead of drawing indices and gathering through them, and
+it takes each step's offset from a packed word with a C-level ``mod``.
+``choose(n, k)`` is ``sample(range(n), k)``: the same words and the same
+positions, for callers that want the positions.
+
 Reproducibility is guaranteed within this package (same seed, same draws,
 any platform, any byte order), not against other splitmix implementations.
 """
 
+import operator
 import struct
 from functools import lru_cache
 
@@ -103,14 +111,18 @@ class SplitMix64:
             if w < limit:
                 return w % n
 
-    def choose(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n) via partial Fisher-Yates.
+    def sample(self, population, k: int) -> list:
+        """k distinct items of ``population`` via partial Fisher-Yates.
 
-        Step i takes ``next_below(n - i)``.  The k words are drawn in one
-        packed pass; ``next_below(m)`` accepts every word below 2**64 - m,
-        so when all k words are at most 2**64 - 1 - n no step can reject
-        and step i is just ``word_i % (n - i)``.
+        The items are copied into a new list, which is shuffled, so
+        ``population`` is left as it is; step i swaps item i with item
+        ``i + next_below(n - i)``.  The k words are drawn in one packed
+        pass; ``next_below(m)`` accepts every word below 2**64 - m, so
+        when all k words are at most 2**64 - 1 - n no step can reject and
+        step i is just ``word_i % (n - i)``.
         """
+        items = list(population)
+        n = len(items)
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
         words = self.words(k)
@@ -118,9 +130,19 @@ class SplitMix64:
             self._counter -= k
             offsets = [self.next_below(n - i) for i in range(k)]
         else:
-            offsets = map(int.__mod__, words, range(n, n - k, -1))
-        idx = list(range(n))
+            offsets = map(operator.mod, words, range(n, n - k, -1))
         for i, r in enumerate(offsets):
             j = i + r
-            idx[i], idx[j] = idx[j], idx[i]
-        return idx[:k]
+            items[i], items[j] = items[j], items[i]
+        return items[:k]
+
+    def choose(self, n: int, k: int) -> list[int]:
+        """k distinct indices from range(n): ``sample(range(n), k)``.
+
+        The index form of the draw stays public: the tests compare it
+        with the word-by-word oracle, and the benchmark's tracer wraps it
+        by name.  ``range`` of a negative n is empty, so n is checked here.
+        """
+        if n < 0:
+            raise ValueError("need 0 <= k <= n")
+        return self.sample(range(n), k)

@@ -12,6 +12,7 @@ from survscore import (
     parse_dataset,
     wlrt_test,
 )
+from survscore.rng import SplitMix64
 from tests import oracles
 from tests.conftest import random_dataset, simulated_trial_csv
 
@@ -170,6 +171,22 @@ def test_mc_matches_sequential_oracle(n, n1, direction):
     replicates = 200
     got = mc_perm_p(values, arms, replicates, n1, direction)
     assert got.p == float(oracles.sequential_mc_perm_p(values, arms, replicates, n1, direction))
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+def test_mc_redraws_exactly_around_the_largest_word(direction):
+    # Seed the root so that replicate 0's first word is 2**64 - 1, which
+    # next_below(5) rejects: the replicate must be drawn word by word.  It
+    # then picks subjects {0, 3} (sum 0.4), where the packed offsets taken
+    # as they are would pick {0, 2} (sum 1.0); the observed arm-1 sum, 0.5,
+    # lies between them, so either tail would count that replicate wrongly.
+    golden, mask = 0x9E3779B97F4A7C15, 2**64 - 1
+    child = (oracles.unfinalize(mask) - golden) & mask
+    seed = (oracles.unfinalize(child) - golden) & mask
+    assert SplitMix64(seed).substream(0).word(0) == mask
+    values, arms = [0.3, -1.0, 0.7, 0.1, -0.2], [0, 0, 1, 0, 1]
+    got = mc_perm_p(values, arms, 50, seed, direction)
+    assert got.p == float(oracles.sequential_mc_perm_p(values, arms, 50, seed, direction))
 
 
 def test_mc_extreme_counts_pinned(tmp_path):

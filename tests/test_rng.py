@@ -90,3 +90,36 @@ def test_choose_redraws_exactly_around_the_largest_word(n, k, index):
     assert packed.choose(n, k) == oracles.sequential_choose(sequential, n, k)
     assert packed._counter == sequential._counter
     assert packed.next_word() == sequential.next_word()
+
+
+def _sample_agrees_with_choose(seed, n, k):
+    population = tuple(f"subject-{i}" for i in range(n))
+    by_items, by_index = SplitMix64(seed), SplitMix64(seed)
+    assert by_items.sample(population, k) == [population[i] for i in by_index.choose(n, k)]
+    assert by_items._counter == by_index._counter
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 300, 1000])
+def test_sample_picks_the_items_choose_indexes(n):
+    for seed in range(200):
+        for k in sorted({0, 1, n // 2, n - 1, n}):
+            _sample_agrees_with_choose(seed, n, k)
+
+
+@pytest.mark.parametrize("n, k, index", [(3, 1, 0), (4, 2, 1), (4, 1, 0)])
+def test_sample_redraws_like_choose_around_the_largest_word(n, k, index):
+    _sample_agrees_with_choose(_seed_with_word(index, 2**64 - 1), n, k)
+
+
+def test_sample_leaves_its_population_alone_and_checks_k():
+    population = [0.5, -1.0, 2.0, 0.25, 3.0]
+    picked = SplitMix64(3).sample(population, 5)
+    assert population == [0.5, -1.0, 2.0, 0.25, 3.0]
+    assert sorted(picked) == sorted(population)
+    for k in (-1, 6):
+        with pytest.raises(ValueError, match=r"need 0 <= k <= n"):
+            SplitMix64(3).sample(population, k)
+        with pytest.raises(ValueError, match=r"need 0 <= k <= n"):
+            SplitMix64(3).choose(5, k)
+    with pytest.raises(ValueError, match=r"need 0 <= k <= n"):
+        SplitMix64(3).choose(-1, 0)
