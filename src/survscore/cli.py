@@ -191,6 +191,8 @@ def parse_method_spec(text: str):
         key, sep, value = (part.strip() for part in pair.partition("="))
         if not sep:
             raise ValueError(f"bad method spec {text!r}: expected key=value, got {pair!r}")
+        if key in options:
+            raise ValueError(f"bad method spec {text!r}: {key} given twice")
         if key == "backend" and value not in BACKEND_FLAGS:
             raise ValueError(f"bad method spec {text!r}: backend must be km, exp or pwexp")
         if key == "log":

@@ -76,8 +76,8 @@ class WeightSpec:
 class ScoreSet:
     """Per-subject raw scores in dataset order, plus the rescaling onto [-1, 1].
 
-    ``scaled`` is filled by standardize(), an increasing affine map, so
-    subject ordering is preserved.
+    ``scaled`` is filled by standardize(), the one map _unit_axis() shared with
+    pseudo-values: increasing, lowest score to -1 and highest to 1 exactly.
     """
 
     source: TrialDataset
@@ -105,8 +105,8 @@ class TestResult:
     "upper" when a larger one does; ``z`` and the one-sided normal
     p-value follow from the three, the p-value small when z lies on the
     benefit tail.  The descriptor says which test produced it.
-    ``per_subject`` carries the ScoreSet or PseudoSet behind the
-    statistic for plotting.
+    ``per_subject`` carries the ScoreSet or PseudoSet behind the statistic
+    for permutation; a pseudo-value test attaches it raw, ``scaled`` None.
     """
 
     method: str
@@ -192,15 +192,26 @@ def compute_scores(rt: RiskTable, weights, spec: WeightSpec | None = None) -> Sc
     return ScoreSet(rt.source, spec, tuple(weights), tuple(raw))
 
 
-def standardize(scores: ScoreSet) -> ScoreSet:
-    """Affine map of raw scores onto [-1, 1], attaining both endpoints."""
-    hi, lo = max(scores.raw), min(scores.raw)
+def _unit_axis(values, benefit: str, what: str) -> tuple[float, ...]:
+    """The one affine map onto [-1, 1]: by distances to both ends, the ``benefit``
+    end to -1 and the other to 1 exactly; the "upper" map negates the "lower" one."""
+    hi, lo = max(values), min(values)
     if hi == lo:
-        raise ValueError("degenerate score range: all scores equal")
-    scale = 2.0 / (hi - lo)
-    offset = 1.0 - scale * hi
-    scaled = tuple(scale * a + offset for a in scores.raw)
-    return replace(scores, scaled=scaled)
+        raise ValueError(f"degenerate {what} range: all {what}s equal")
+    span = hi - lo
+    if benefit == "lower":
+        scaled = tuple(((v - lo) - (hi - v)) / span for v in values)
+    else:
+        scaled = tuple(((hi - v) - (v - lo)) / span for v in values)
+    if not all(map(math.isfinite, scaled)):
+        k = next(k for k, value in enumerate(scaled) if not math.isfinite(value))
+        raise ValueError(f"scaled {what} of subject {k} is not finite")
+    return scaled
+
+
+def standardize(scores: ScoreSet) -> ScoreSet:
+    """Scores on the one [-1, 1] axis of _unit_axis(); a score's benefit is "lower"."""
+    return replace(scores, scaled=_unit_axis(scores.raw, WeightSpec.benefit, "score"))
 
 
 def perm_moments(values, n_arm1: int) -> tuple[float, float]:

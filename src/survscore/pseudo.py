@@ -23,7 +23,7 @@ from .curves import (
     rmst,
 )
 from .dataset import RiskTable, TrialDataset, build_risk_table, split_by_arm
-from .logrank import TestResult, mean_score_diff, perm_moments
+from .logrank import TestResult, _unit_axis, mean_score_diff, perm_moments
 
 ESTIMAND_KINDS = ("rmst", "milestone", "wmst", "ahsw")
 BACKENDS = ("km", "exponential", "piecewise")
@@ -127,8 +127,7 @@ class PseudoSet:
 
     ``loo`` holds the leave-one-out functional estimate behind each value,
     ``functionals`` the full-sample estimate per fitting group.  ``scaled``
-    is filled by standardize_pseudo(), oriented so that benefit on arm 1
-    gives a lower scaled value, like a score.
+    is filled by standardize_pseudo(), the _unit_axis() map of scores: best -1, worst 1.
     """
 
     source: TrialDataset
@@ -345,25 +344,8 @@ def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
 
 
 def standardize_pseudo(ps: PseudoSet) -> PseudoSet:
-    """Affine map of pseudo-values onto [-1, 1], benefit pointing down.
-
-    Computed jointly over both arms; the subject with the best outcome
-    gets -1, so panels line up with log-rank score panels.  The map
-    reverses the values when the estimand's benefit is "upper" and keeps
-    their sign when it is "lower".
-    """
-    hi, lo = max(ps.values), min(ps.values)
-    if hi == lo:
-        raise ValueError("degenerate pseudo-value range: all values equal")
-    span = hi - lo
-    if ps.spec.benefit == "lower":
-        scaled = tuple((2.0 * v - hi - lo) / span for v in ps.values)
-    else:
-        scaled = tuple((hi + lo - 2.0 * v) / span for v in ps.values)
-    for k, value in enumerate(scaled):
-        if not math.isfinite(value):
-            raise ValueError(f"scaled pseudo-value of subject {k} is not finite")
-    return replace(ps, scaled=scaled)
+    """Pseudo-values on the one [-1, 1] axis of _unit_axis(), oriented by the estimand's benefit."""
+    return replace(ps, scaled=_unit_axis(ps.values, ps.spec.benefit, "pseudo-value"))
 
 
 def pseudo_test(ps: PseudoSet) -> TestResult:

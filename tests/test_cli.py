@@ -316,6 +316,8 @@ def test_parse_method_spec():
         parse_method_spec("logrank:tau=3")
     with pytest.raises(ValueError, match="sstar"):
         parse_method_spec("mw")
+    with pytest.raises(ValueError, match="pooling given twice"):
+        parse_method_spec("rmst:tau=9,pooling=arm,pooling=pooled")
 
 
 @pytest.mark.parametrize("text", [
@@ -348,6 +350,19 @@ def test_cli_refuses_spec_keys_never_read(argv, toy_csv_path, tmp_path, capsys):
     assert run(*argv, "--input", str(toy_csv_path), "--output", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: bad method spec") and "unknown keys" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["plot", "--spec", "rmst:tau=18,tau=6"], "tau"),
+    (["compare", "--spec", "logrank", "--spec", "mw:sstar=0.5, sstar=0.9"], "sstar"),
+])
+def test_cli_refuses_repeated_spec_key(argv, key, toy_csv_path, tmp_path, capsys):
+    out = tmp_path / "out.svg"
+    assert run(*argv, "--input", str(toy_csv_path), "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad method spec") and f"{key} given twice" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
 
@@ -588,7 +603,7 @@ GOLDEN_RUNS = {  # name -> (argv without --input, digest)
     "compare": (
         ["compare", "--spec", "logrank", "--spec", "mw:sstar=0.5", "--spec",
          "milestone:kappa=18,backend=pwexp", "--columns", "2", "--output", "cmp.svg"],
-        "0188b6c9a2bc1b1aef373b395fbb9e2cf6ec59f65c467b3bbeb993894f514e5d",
+        "21bf55ee92477a840a3fc9d2a65939a4934e7c7e45436d68f30ac9088a28b2b6",
     ),
 }
 

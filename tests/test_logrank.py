@@ -167,12 +167,21 @@ def test_standardize_degenerate():
 
 
 def test_standardize_preserves_order():
-    for seed in range(10):
-        scores = _scores(random_dataset(seed), WeightSpec.modest(0.5))
-        scaled = standardize(scores).scaled
-        order_raw = sorted(range(len(scores.raw)), key=lambda k: scores.raw[k])
-        order_scaled = sorted(range(len(scaled)), key=lambda k: scaled[k])
-        assert order_raw == order_scaled
+    # the lowest score lands on -1 and the highest on 1 exactly, not one ulp inside
+    for seed in range(200):
+        ds = random_dataset(seed)
+        for spec in (WeightSpec.logrank(), WeightSpec.fleming_harrington(0, 1),
+                     WeightSpec.modest(0.5)):
+            scores = _scores(ds, spec)
+            if len(set(scores.raw)) == 1:  # one event time, weighted 0 by FH(0,1)
+                with pytest.raises(ValueError, match="degenerate score range"):
+                    standardize(scores)
+                continue
+            scaled = standardize(scores).scaled
+            by_raw = [scaled[k] for k in sorted(range(ds.n), key=scores.raw.__getitem__)]
+            assert by_raw == sorted(by_raw)
+            assert (by_raw[0], by_raw[-1]) == (-1.0, 1.0)
+            assert all(-1.0 <= b <= 1.0 for b in scaled)
 
 
 def test_perm_moments_toy(toy_parts):

@@ -162,6 +162,25 @@ def test_standardize_ahsw_keeps_score_orientation(toy):
     assert ps.values[early_event] == max(ps.values)
 
 
+def test_standardize_pseudo_hits_both_ends_exactly():
+    for seed in range(50):
+        ds, tau = pseudo_friendly_dataset(seed)
+        for kind in ("rmst", "ahsw"):
+            for backend in ("km", "exponential"):
+                ps = standardize_pseudo(pseudo_values(ds, EstimandSpec(kind, tau=tau, backend=backend)))
+                assert (min(ps.scaled), max(ps.scaled)) == (-1.0, 1.0)
+                assert all(-1.0 <= b <= 1.0 for b in ps.scaled)
+
+
+def test_standardize_pseudo_orientations_mirror_exactly(toy):
+    ps = pseudo_values(toy, RMST18)
+    ahsw = EstimandSpec(kind="ahsw", tau=18.0)
+    assert (RMST18.benefit, ahsw.benefit) == ("upper", "lower")
+    upper = standardize_pseudo(ps).scaled
+    lower = standardize_pseudo(replace(ps, spec=ahsw)).scaled
+    assert upper == tuple(-b for b in lower)
+
+
 def test_standardize_pseudo_degenerate():
     ds = TrialDataset(tuple(Subject(4.0, arm, 1) for arm in (0, 1) for _ in range(2)))
     ps = pseudo_values(ds, EstimandSpec(kind="rmst", tau=4.0, pooling="arm"))
