@@ -22,13 +22,10 @@ from .censoring import inject_censoring
 from .curves import km_fit
 from .dataset import TrialDataset, parse_dataset, split_by_arm
 from .km_tests import milestone_test, rmst_test
-from .logrank import WeightSpec, score_chain
+from .logrank import WeightSpec, score_chain, standardize
 from .permutation import EXACT_HALF_SUMS_LIMIT, exact_perm_p, mc_perm_p
-from .pseudo import EstimandSpec
+from .pseudo import ESTIMAND_KINDS, EstimandSpec
 from .svgplot import PlotPanel, render_svg
-
-BACKEND_FLAGS = {"km": "km", "exp": "exponential", "pwexp": "piecewise"}
-
 
 def _jsonable(x):
     x = float(x)
@@ -105,13 +102,26 @@ def _subject_columns(ds: TrialDataset, repeat: int = 1) -> dict:
 
 
 def _parse_breakpoints(text: str) -> tuple[float, ...]:
-    try:
-        cuts = tuple(float(part) for part in text.replace(":", ",").split(",") if part)
-    except ValueError:
-        raise ValueError(f"bad breakpoints {text!r}: expected comma-separated numbers") from None
-    return cuts
+    return tuple(float(part) for part in text.replace(":", ",").split(",") if part)
 
 
+OPTIONS = {  # spec key -> (flag, parser of its text: function or dict of choices, default, help)
+    "rho": ("--rho", float, "0", "Fleming-Harrington rho"),
+    "gamma": ("--gamma", float, "0", "Fleming-Harrington gamma"),
+    "sstar": ("--sstar", float, None, "floor s* in (0,1] for the modest (mw) test"),
+    "tau": ("--tau", float, None, "horizon for rmst/ahsw"),
+    "kappa": ("--kappa", float, None, "milestone time"),
+    "tau1": ("--tau1", float, None, "wmst window start"),
+    "tau2": ("--tau2", float, None, "wmst window end"),
+    "backend": ("--backend", {"km": "km", "exp": "exponential", "pwexp": "piecewise"}, "km",
+                "curve fit"),
+    "breakpoints": ("--breakpoints", _parse_breakpoints, "2,4,6,8",
+                    "piecewise-exponential breakpoints"),
+    "pooling": ("--pooling", {"arm": "arm", "pooled": "pooled"}, "arm",
+                "fit per arm or on the pooled sample"),
+    "log": ("--ahsw-scale", {"log": True, "ratio": False}, "log",
+            "compare ahsw on the log scale or as a ratio"),
+}
 FIT_KEYS = ("backend", "breakpoints", "pooling")
 METHOD_KEYS = {  # method name -> the options its spec reads
     "logrank": (),
@@ -123,55 +133,49 @@ METHOD_KEYS = {  # method name -> the options its spec reads
     "ahsw": ("tau", "log", *FIT_KEYS),
 }
 KM_TEST_KEYS = {"rmst": ("tau",), "milestone": ("kappa",)}  # the closed-form KM tests fit nothing
-NUMBER_KEYS = ("rho", "gamma", "sstar", "tau", "kappa", "tau1", "tau2")
 
 
-def _method_spec(name: str, options: dict, spell=str, where: str = "", reads=None):
+def _method_spec(name: str, texts: dict, spell=str, where: str = "", reads=None):
     """The weight or estimand spec of method ``name``; the one spec builder.
 
-    ``options`` holds only the keys the user gave: numbers for rho, gamma,
-    sstar, tau, kappa, tau1 and tau2, a backend flag (km|exp|pwexp), a
-    breakpoint list as text, a pooling and a log-scale bool.  Absent ones
-    take the defaults below; mw's sstar has none.  A key outside ``reads``
-    (default: every key of ``METHOD_KEYS[name]``), or a missing sstar, is
-    refused: the message starts with ``where`` and names each key as
-    ``spell`` writes it.
+    ``texts`` holds the text of each option the user gave, keyed as in
+    ``OPTIONS``; an absent one takes its default text.  A key outside
+    ``reads`` (default: ``METHOD_KEYS[name]``), a read key with neither
+    text nor default, or a text its parser refuses is refused, as is a
+    spec its constructor refuses: the message starts with ``where`` and
+    names each key as ``spell`` writes it.
     """
     reads = METHOD_KEYS[name] if reads is None else reads
-    unread = sorted(spell(key) for key in options if key not in reads)
+    unread = sorted(spell(key) for key in texts if key not in reads)
     if unread:
         raise ValueError(f"{where}unknown keys for {name}: {', '.join(unread)}")
-    if name == "mw" and "sstar" not in options:
-        raise ValueError(f"{where}mw requires {spell('sstar')}")
-    options = {"rho": 0.0, "gamma": 0.0, "backend": "km", "breakpoints": "2,4,6,8",
-               "pooling": "arm", "log": True, **options}
-    if name == "logrank":
-        return WeightSpec.logrank()
-    if name == "fh":
-        return WeightSpec.fleming_harrington(options["rho"], options["gamma"])
-    if name == "mw":
-        return WeightSpec.modest(options["sstar"])
-    return EstimandSpec(
-        kind=name,
-        tau=options.get("tau"),
-        kappa=options.get("kappa"),
-        tau1=options.get("tau1"),
-        tau2=options.get("tau2"),
-        log_scale=options["log"],
-        backend=BACKEND_FLAGS[options["backend"]],
-        breakpoints=_parse_breakpoints(options["breakpoints"]),
-        pooling=options["pooling"],
-    )
+    values = {}
+    for key in reads:
+        _, parse, default, _ = OPTIONS[key]
+        text = texts.get(key, default)
+        if text is None:
+            raise ValueError(f"{where}{name} requires {spell(key)}")
+        try:
+            values[key] = parse[text] if isinstance(parse, dict) else parse(text)
+        except (KeyError, ValueError):
+            expected = f": expected {', '.join(parse)}" if isinstance(parse, dict) else ""
+            raise ValueError(f"{where}bad {spell(key)} {text!r}{expected}") from None
+    try:
+        if name == "logrank":
+            return WeightSpec.logrank()
+        if name == "fh":
+            return WeightSpec.fleming_harrington(values["rho"], values["gamma"])
+        if name == "mw":
+            return WeightSpec.modest(values["sstar"])
+        return EstimandSpec(name, log_scale=values.pop("log", True), **values)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from None
 
 
 def _flag_spec(name: str, args, reads=None):
     """The spec of method ``name`` from the method flags given on the command line."""
-    known = {key for keys in METHOD_KEYS.values() for key in keys}
-    options = {k: v for k, v in vars(args).items() if k in known and v is not None}
-    if "log" in options:
-        options["log"] = options["log"] == "log"
-    return _method_spec(name, options, lambda key: "--ahsw-scale" if key == "log" else f"--{key}",
-                        reads=reads)
+    texts = {key: text for key, text in vars(args).items() if key in OPTIONS and text is not None}
+    return _method_spec(name, texts, lambda key: OPTIONS[key][0], reads=reads)
 
 
 def parse_method_spec(text: str):
@@ -184,28 +188,23 @@ def parse_method_spec(text: str):
     """
     name, _, rest = text.partition(":")
     name = name.strip()
+    # diagnostics print no NaN (a value no option admits), so a spec holding one goes by its method
+    where = f"bad method spec {name if 'nan' in text.lower() else repr(text)}: "
     if name not in METHOD_KEYS:
-        raise ValueError(f"bad method spec {text!r}: unknown method {name!r}")
-    options = {}
+        raise ValueError(f"{where}unknown method {name!r}")
+    texts = {}
     for pair in rest.split(",") if rest else ():
         key, sep, value = (part.strip() for part in pair.partition("="))
         if not sep:
-            raise ValueError(f"bad method spec {text!r}: expected key=value, got {pair!r}")
-        if key in options:
-            raise ValueError(f"bad method spec {text!r}: {key} given twice")
-        if key == "backend" and value not in BACKEND_FLAGS:
-            raise ValueError(f"bad method spec {text!r}: backend must be km, exp or pwexp")
-        if key == "log":
+            raise ValueError(f"{where}expected key=value, got {pair!r}")
+        if key in texts:
+            raise ValueError(f"{where}{key} given twice")
+        if key == "log":  # log=on|off spells --ahsw-scale log|ratio, and no other word does
             if value not in ("on", "off"):
-                raise ValueError(f"bad method spec {text!r}: log must be on or off")
-            value = value == "on"
-        elif key in NUMBER_KEYS:
-            try:
-                value = float(value)
-            except ValueError:
-                raise ValueError(f"bad method spec {text!r}: {key} must be a number") from None
-        options[key] = value
-    return _method_spec(name, options, where=f"bad method spec {text!r}: ")
+                raise ValueError(f"{where}bad log {value!r}: expected on or off")
+            value = "log" if value == "on" else "ratio"
+        texts[key] = value
+    return _method_spec(name, texts, where=where)
 
 
 def cmd_km(args) -> int:
@@ -225,6 +224,7 @@ def cmd_scores(args) -> int:
     spec = _flag_spec(args.test, args)
     ds = _load(args)
     rt, pooled, scores = score_chain(ds, spec)
+    scaled = standardize(scores).scaled
     order = sorted(range(ds.n), key=ds.times.__getitem__)
     columns = {key: [column[k] for k in order] for key, column in _subject_columns(ds).items()}
     times = columns["time"]
@@ -234,7 +234,7 @@ def cmd_scores(args) -> int:
         survival=[pooled.left(t) for t in times],
         weight=[scores.weights[j - 1] if j >= 1 else None for j in intervals],
         score=[scores.raw[k] for k in order],
-        scaled_score=[scores.scaled[k] for k in order],
+        scaled_score=[scaled[k] for k in order],
     )
     _emit(_tabulate(columns, args.format), args)
     return 0
@@ -333,29 +333,14 @@ def cmd_panels(args) -> int:
     return 0
 
 
-def _add_weight_flags(parser, with_selector: bool):
-    if with_selector:
-        parser.add_argument("--test", choices=["logrank", "fh", "mw"], default="logrank",
-                            help="weight function (default: logrank)")
-    parser.add_argument("--rho", type=float, help="Fleming-Harrington rho (default: 0)")
-    parser.add_argument("--gamma", type=float, help="Fleming-Harrington gamma (default: 0)")
-    parser.add_argument("--sstar", type=float, help="floor s* in (0,1] for the modest (mw) test")
-
-
-def _add_estimand_flags(parser, required: bool):
-    parser.add_argument("--estimand", choices=["rmst", "milestone", "wmst", "ahsw"],
-                        required=required)
-    parser.add_argument("--tau", type=float, help="horizon for rmst/ahsw")
-    parser.add_argument("--kappa", type=float, help="milestone time")
-    parser.add_argument("--tau1", type=float, help="wmst window start")
-    parser.add_argument("--tau2", type=float, help="wmst window end")
-    parser.add_argument("--backend", choices=sorted(BACKEND_FLAGS), help="curve fit (default: km)")
-    parser.add_argument("--breakpoints",
-                        help="piecewise-exponential breakpoints (default: 2,4,6,8)")
-    parser.add_argument("--pooling", choices=["arm", "pooled"],
-                        help="fit per arm (default) or on the pooled sample")
-    parser.add_argument("--ahsw-scale", choices=["log", "ratio"], dest="log",
-                        help="compare ahsw on the log scale (default) or as a ratio")
+def _add_method_flags(parser, methods) -> None:
+    """One flag per ``OPTIONS`` row that one of ``methods`` reads, in table order."""
+    read = {key for name in methods for key in METHOD_KEYS[name]}
+    for key, (flag, parse, default, text) in OPTIONS.items():
+        if key in read:
+            choices = list(parse) if isinstance(parse, dict) else None
+            parser.add_argument(flag, dest=key, choices=choices,
+                                help=text if default is None else f"{text} (default: {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,19 +362,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scores", parents=[common, tabular],
                        help="weighted log-rank scores per subject")
-    _add_weight_flags(p, with_selector=True)
+    p.add_argument("--test", choices=["logrank", "fh", "mw"], default="logrank",
+                   help="weight function (default: logrank)")
+    _add_method_flags(p, ("fh", "mw"))
     p.set_defaults(func=cmd_scores)
 
     p = sub.add_parser("pseudo", parents=[common, tabular],
                        help="jackknife pseudo-values per subject")
-    _add_estimand_flags(p, required=True)
+    p.add_argument("--estimand", choices=ESTIMAND_KINDS, required=True)
+    _add_method_flags(p, ESTIMAND_KINDS)
     p.set_defaults(func=cmd_pseudo)
 
     p = sub.add_parser("test", parents=[common], help="run a test, result as JSON")
     p.add_argument("--method", choices=["rmst", "milestone", "logrank", "fh", "mw", "pseudo"],
                    required=True)
-    _add_weight_flags(p, with_selector=False)
-    _add_estimand_flags(p, required=False)
+    p.add_argument("--estimand", choices=ESTIMAND_KINDS)
+    _add_method_flags(p, METHOD_KEYS)
     p.add_argument("--perm", choices=["exact", "mc"], default=None,
                    help=f"add a permutation p-value (exact up to {EXACT_HALF_SUMS_LIMIT} "
                         "half-subset sums: balanced arms up to n = 40)")

@@ -65,7 +65,7 @@ class WeightSpec:
 
     def per_subject(self, ds: TrialDataset) -> "ScoreSet":
         """Standardized per-subject scores of ``ds`` under this weight."""
-        return score_chain(ds, self)[2]
+        return standardize(score_chain(ds, self)[2])
 
     def test(self, ds: TrialDataset) -> "TestResult":
         """The weighted log-rank test of ``ds`` under this weight."""
@@ -105,8 +105,8 @@ class TestResult:
     "upper" when a larger one does; ``z`` and the one-sided normal
     p-value follow from the three, the p-value small when z lies on the
     benefit tail.  The descriptor says which test produced it.
-    ``per_subject`` carries the ScoreSet or PseudoSet behind the statistic
-    for permutation; a pseudo-value test attaches it raw, ``scaled`` None.
+    ``per_subject`` carries the raw ScoreSet or PseudoSet behind the
+    statistic for permutation; its ``scaled`` is None for every test.
     """
 
     method: str
@@ -251,19 +251,20 @@ def mean_score_diff(values, arms) -> float:
 def score_chain(ds: TrialDataset, spec: WeightSpec):
     """The score pipeline: risk table, pooled KM curve, weights, scores.
 
-    Returns (risk table, pooled curve, standardized ScoreSet); the table
-    and the curve come along for callers that tabulate or test with them.
+    Returns (risk table, pooled curve, raw ScoreSet); the table and the
+    curve come along for callers that tabulate or test with them.
     """
     rt = build_risk_table(ds)
     pooled = km_from_table(rt)
     weights = compute_weights(rt, pooled, spec)
-    return rt, pooled, standardize(compute_scores(rt, weights, spec))
+    return rt, pooled, compute_scores(rt, weights, spec)
 
 
 def wlrt_test(ds: TrialDataset, spec: WeightSpec) -> TestResult:
     """Weighted log-rank test; negative statistic favors arm 1.
 
-    The attached ScoreSet is already standardized for plotting.
+    The attached ScoreSet is raw: the test reads no [-1, 1] map, so a trial
+    whose scores are all equal tests to z 0, not to an error.
     """
     ds.require_two_arms()
     rt, _, scores = score_chain(ds, spec)

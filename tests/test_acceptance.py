@@ -85,7 +85,7 @@ def read_csv(path):
 
 
 def standardized_logrank(toy):
-    return ss.wlrt_test(toy, ss.WeightSpec.logrank()).per_subject
+    return ss.WeightSpec.logrank().per_subject(toy)
 
 
 def test_criterion_01_score_table(toy_csv_path, tmp_path):
@@ -201,7 +201,7 @@ def test_criterion_07_permutation_affine_invariance():
         rng = SplitMix64(2024)
         for seed in range(20):
             ds = random_dataset(seed, max_n=12)
-            scores = ss.wlrt_test(ds, ss.WeightSpec.logrank()).per_subject
+            scores = ss.WeightSpec.logrank().per_subject(ds)
             alpha = 0.1 + 5.0 * rng.next_uniform()
             beta = 10.0 * rng.next_uniform() - 5.0
             mapped = [alpha * a + beta for a in scores.raw]

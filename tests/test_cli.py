@@ -18,7 +18,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from survscore import EstimandSpec, WeightSpec, parse_dataset, wlrt_test
-from survscore.cli import KM_TEST_KEYS, METHOD_KEYS, _tabulate, main, parse_method_spec
+from survscore.cli import (
+    KM_TEST_KEYS, METHOD_KEYS, OPTIONS, _flag_spec, _tabulate, build_parser, main,
+    parse_method_spec,
+)
 from tests import oracles
 from tests.conftest import TOY_CSV, simulated_trial_csv
 
@@ -383,6 +386,82 @@ def test_cli_refuses_flags_its_method_never_reads(argv, flag, toy_csv_path, caps
     assert flag in err
 
 
+# One text per option, as a flag takes it and as a spec key takes it.
+SAMPLE_TEXTS = {
+    "rho": ("1", "1"), "gamma": ("0.5", "0.5"), "sstar": ("0.5", "0.5"),
+    "tau": ("9", "9"), "kappa": ("9", "9"), "tau1": ("3", "3"), "tau2": ("9", "9"),
+    "backend": ("pwexp", "pwexp"), "breakpoints": ("1,2", "1:2"), "pooling": ("pooled", "pooled"),
+    "log": ("ratio", "off"),
+}
+
+
+def _specs_both_ways(name, keys):
+    """The spec of ``name`` with ``keys`` given, built from flags and from --spec text."""
+    if name in ("logrank", "fh", "mw"):
+        argv = ["test", "--method", name]
+    else:
+        argv = ["test", "--method", "pseudo", "--estimand", name]
+    for key in keys:
+        argv += [OPTIONS[key][0], SAMPLE_TEXTS[key][0]]
+    from_flags = _flag_spec(name, build_parser().parse_args(argv + ["--input", "unused.csv"]))
+    text = ",".join(f"{key}={SAMPLE_TEXTS[key][1]}" for key in keys)
+    return from_flags, parse_method_spec(f"{name}:{text}" if text else name)
+
+
+@pytest.mark.parametrize("name", sorted(METHOD_KEYS))
+def test_flag_and_spec_spellings_give_one_spec(name):
+    required = [key for key in METHOD_KEYS[name] if OPTIONS[key][2] is None]
+    from_flags, base = _specs_both_ways(name, required)
+    assert from_flags == base
+    for key in METHOD_KEYS[name]:
+        if key not in required:
+            from_flags, from_spec = _specs_both_ways(name, [*required, key])
+            assert from_flags == from_spec != base  # each sample text differs from the default
+
+
+def test_non_numeric_number_flag_is_one_line_error(toy_csv_path, capsys):
+    assert run("pseudo", "--estimand", "rmst", "--tau", "abc", "--input", str(toy_csv_path)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: bad --tau 'abc'\n"
+
+
+@pytest.mark.parametrize("word", ["log", "ratio", "yes", ""])
+def test_spec_log_key_reads_only_on_or_off(word):
+    with pytest.raises(ValueError, match="bad log .*: expected on or off"):
+        parse_method_spec(f"ahsw:tau=9,log={word}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--spec", "rmst:tau=-1", "--spec", "wmst:tau1=9,tau2=3"],
+     "bad method spec 'rmst:tau=-1': rmst needs a finite positive horizon tau"),
+    (["plot", "--spec", "rmst:tau=9,pooling=foo"],
+     "bad method spec 'rmst:tau=9,pooling=foo': bad pooling 'foo': expected arm, pooled"),
+    (["plot", "--spec", "rmst:tau=x"], "bad method spec 'rmst:tau=x': bad tau 'x'"),
+    (["plot", "--spec", "wmst:tau1=6"], "bad method spec 'wmst:tau1=6': wmst requires tau2"),
+])
+def test_bad_spec_names_its_spec_text(argv, message, toy_csv_path, tmp_path, capsys):
+    out = tmp_path / "out.svg"
+    assert run(*argv, "--input", str(toy_csv_path), "--output", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# Every score is 0: one event time at which both subjects have their event.
+DEGENERATE_CSV = "time,arm,event\n5,0,1\n5,1,1\n"
+
+
+@pytest.mark.parametrize("method", [["logrank"], ["fh", "--gamma", "1"]])
+def test_test_on_equal_scores_reads_z_zero(method, tmp_path, capsys):
+    path = tmp_path / "two.csv"
+    path.write_text(DEGENERATE_CSV, encoding="utf-8")
+    argv = ["test", "--method", *method, "--input", str(path)]
+    assert run(*argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [payload[k] for k in ("statistic", "variance", "z", "p_one_sided")] == [0, 0, 0, 0.5]
+    assert run(*argv, "--perm", "exact") == 0
+    assert json.loads(capsys.readouterr().out)["permutation"]["p"] == 1.0
+
+
 @pytest.mark.parametrize("given_argv, omitted_argv", [
     ("scores --test fh --rho 0 --gamma 0", "scores --test fh"),
     ("pseudo --estimand ahsw --tau 18 --backend km --breakpoints 2,4,6,8 --pooling arm "
@@ -719,6 +798,15 @@ def test_readme_quick_start_runs(toy_csv_path, tmp_path, capsys):
             at = argv.index("--output") + 1
             argv[at] = str(tmp_path / argv[at])
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_states_every_option_default():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = " ".join(readme.split("Defaults:", 1)[1].split(";", 1)[0].split())
+    stated = [(flag, default) for flag, _, default, _ in OPTIONS.values() if default is not None]
+    assert len(stated) == 6
+    for flag, default in stated:
+        assert f"`{flag} {default}`" in sentence, (flag, default, sentence)
 
 
 def _ci_step_script(name):

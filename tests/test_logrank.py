@@ -228,7 +228,7 @@ def test_wlrt_test_toy(toy):
     assert res.statistic == pytest.approx(-0.797, abs=1e-3)
     assert res.z == pytest.approx(res.statistic / math.sqrt(res.variance), abs=1e-12)
     assert 0 < res.p_one_sided < 0.5  # negative statistic favors arm 1
-    assert res.per_subject.scaled is not None
+    assert standardize(res.per_subject).scaled is not None
     assert res.method == "log-rank"
 
 

@@ -32,7 +32,7 @@ def test_exact_matches_full_enumeration(direction):
 
 
 def test_exact_toy_logrank(toy):
-    scores = wlrt_test(toy, WeightSpec.logrank()).per_subject
+    scores = WeightSpec.logrank().per_subject(toy)
     p = exact_perm_p(scores.raw, toy.arms, "lower")
     assert p == 252 / 924  # frozen from the full-enumeration oracle
     assert exact_perm_p(scores.scaled, toy.arms, "lower") == p

@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from survscore import WeightSpec, parse_dataset, wlrt_test
+from survscore import WeightSpec, parse_dataset
 from survscore.cli import parse_method_spec
 from survscore.svgplot import PlotPanel, nice_ceiling, render_svg
 from tests import oracles
@@ -12,7 +12,7 @@ SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
 
 
 def toy_panel(toy):
-    scores = wlrt_test(toy, WeightSpec.logrank()).per_subject
+    scores = WeightSpec.logrank().per_subject(toy)
     return PlotPanel.from_values("log-rank", toy.times, scores.scaled, toy.arms, toy.events)
 
 
