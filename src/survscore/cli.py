@@ -338,8 +338,9 @@ def _add_method_flags(parser, methods) -> None:
     read = {key for name in methods for key in METHOD_KEYS[name]}
     for key, (flag, parse, default, text) in OPTIONS.items():
         if key in read:
-            choices = list(parse) if isinstance(parse, dict) else None
-            parser.add_argument(flag, dest=key, choices=choices,
+            # choices listed, not enforced: _method_spec refuses a bad word with one error line
+            metavar = "{" + ",".join(parse) + "}" if isinstance(parse, dict) else None
+            parser.add_argument(flag, dest=key, metavar=metavar,
                                 help=text if default is None else f"{text} (default: {default})")
 
 

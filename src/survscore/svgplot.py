@@ -10,13 +10,15 @@ Each point is written through one ``%`` template.  The text a subject's
 point shares across panels (its class, ``cx`` and ``data-time``) is
 formatted once per figure for each distinct set of time, arm and event
 columns, so only ``cy`` and ``data-value`` are formatted per panel.
+
+Titles are escaped by ``_escape``, which writes what ``xml.sax.saxutils.escape``
+writes without loading ``xml``; ``tests/oracles.render_svg`` escapes with the latter.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from xml.sax.saxutils import escape
 
 PANEL_W = 360
 PANEL_H = 300
@@ -94,6 +96,12 @@ def nice_ceiling(x: float) -> float:
     return 10.0 * base
 
 
+def _escape(text: str, quote: str = "") -> str:
+    """``&``, ``>`` and ``<`` as entities, in that order, then ``quote`` as ``&quot;``."""
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    return text.replace(quote, "&quot;") if quote else text
+
+
 def _px(v: float) -> str:
     return f"{v:.2f}"
 
@@ -118,10 +126,10 @@ def _panel_svg(panel: PlotPanel, x_max: float, offset_x: int, offset_y: int,
     left, right = MARGIN_L, MARGIN_L + PLOT_W
     top, bottom = MARGIN_T, MARGIN_T + PLOT_H
     out = [f'<g class="panel" transform="translate({offset_x},{offset_y})" '
-           f'data-method="{escape(panel.title, {chr(34): "&quot;"})}">']
+           f'data-method="{_escape(panel.title, chr(34))}">']
     out.append(f'<rect class="frame" x="{left}" y="{top}" width="{PLOT_W}" height="{PLOT_H}"/>')
     out.append(f'<text class="title" x="{_px((left + right) / 2)}" y="{MARGIN_T - 12}" '
-               f'text-anchor="middle">{escape(panel.title)}</text>')
+               f'text-anchor="middle">{_escape(panel.title)}</text>')
 
     for i in range(5):
         t = x_max * i / 4

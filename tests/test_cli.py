@@ -425,6 +425,27 @@ def test_non_numeric_number_flag_is_one_line_error(toy_csv_path, capsys):
     assert out == "" and err == "error: bad --tau 'abc'\n"
 
 
+@pytest.mark.parametrize("flag, choices", [
+    ("--backend", "km, exp, pwexp"), ("--pooling", "arm, pooled"), ("--ahsw-scale", "log, ratio"),
+])
+def test_bad_choice_flag_word_is_one_line_error(flag, choices, toy_csv_path, capsys):
+    argv = ["pseudo", "--estimand", "ahsw", "--tau", "9", flag, "foo"]
+    assert run(*argv, "--input", str(toy_csv_path)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: bad {flag} 'foo': expected {choices}\n"
+
+
+def test_cli_import_loads_no_xml_network_or_hashing_module():
+    probe = ("import sys, survscore.cli as cli; cli.build_parser(); "
+             "print('\\n'.join(sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    banned = ("xml", "http", "email", "ssl", "socket", "hashlib", "html", "urllib.request")
+    loaded = [name for name in done.stdout.split()
+              if any(name == b or name.startswith(b + ".") for b in banned)]
+    assert loaded == []
+
+
 @pytest.mark.parametrize("word", ["log", "ratio", "yes", ""])
 def test_spec_log_key_reads_only_on_or_off(word):
     with pytest.raises(ValueError, match="bad log .*: expected on or off"):

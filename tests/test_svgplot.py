@@ -1,6 +1,8 @@
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from survscore import WeightSpec, parse_dataset
 from survscore.cli import parse_method_spec
@@ -139,6 +141,25 @@ def test_points_match_per_point_oracle_on_library_panels():
     svg = render_svg(panels)
     assert svg == oracles.render_svg(panels)
     assert 'data-time="1" ' in svg and 'data-time="1.0" ' in svg
+
+
+def titled_panels(title):
+    return [PlotPanel(title, (1.0, 2.0, 3.0), (0.5, -0.5, 0.25), (0, 1, 1), (1, 1, 0))]
+
+
+@pytest.mark.parametrize("title", ['a&b<c>d"e\'f', "&amp;", "&quot;", "]]>"])
+def test_title_escaping_matches_oracle(title):
+    panels = titled_panels(title)
+    svg = render_svg(panels)
+    assert svg == oracles.render_svg(panels)
+    assert ET.fromstring(svg).find("svg:g", SVG_NS).get("data-method") == title
+
+
+@given(title=st.text())
+@settings(max_examples=200, deadline=None)
+def test_any_title_escapes_as_oracle(title):
+    panels = titled_panels(title)
+    assert render_svg(panels) == oracles.render_svg(panels)
 
 
 def test_panel_refuses_labels_outside_0_1():
