@@ -24,7 +24,7 @@ from .dataset import TrialDataset, parse_dataset, split_by_arm
 from .km_tests import milestone_test, rmst_test
 from .logrank import WeightSpec, score_chain, standardize
 from .permutation import EXACT_HALF_SUMS_LIMIT, exact_perm_p, mc_perm_p
-from .pseudo import ESTIMAND_KINDS, EstimandSpec
+from .pseudo import ESTIMAND_KINDS, EstimandSpec, pseudo_values, standardize_pseudo
 from .svgplot import PlotPanel, render_svg
 
 def _jsonable(x):
@@ -141,9 +141,9 @@ def _method_spec(name: str, texts: dict, spell=str, where: str = "", reads=None)
     ``texts`` holds the text of each option the user gave, keyed as in
     ``OPTIONS``; an absent one takes its default text.  A key outside
     ``reads`` (default: ``METHOD_KEYS[name]``), a read key with neither
-    text nor default, or a text its parser refuses is refused, as is a
-    spec its constructor refuses: the message starts with ``where`` and
-    names each key as ``spell`` writes it.
+    text nor default, a text its parser refuses, breakpoints without pwexp
+    or a spec its constructor refuses is refused: the message starts with
+    ``where`` and names each key as ``spell`` writes it.
     """
     reads = METHOD_KEYS[name] if reads is None else reads
     unread = sorted(spell(key) for key in texts if key not in reads)
@@ -160,6 +160,8 @@ def _method_spec(name: str, texts: dict, spell=str, where: str = "", reads=None)
         except (KeyError, ValueError):
             expected = f": expected {', '.join(parse)}" if isinstance(parse, dict) else ""
             raise ValueError(f"{where}bad {spell(key)} {text!r}{expected}") from None
+    if "breakpoints" in texts and values["backend"] != "piecewise":
+        raise ValueError(f"{where}{spell('breakpoints')}: read only with {spell('backend')} pwexp")
     try:
         if name == "logrank":
             return WeightSpec.logrank()
@@ -224,7 +226,7 @@ def cmd_scores(args) -> int:
     spec = _flag_spec(args.test, args)
     ds = _load(args)
     rt, pooled, scores = score_chain(ds, spec)
-    scaled = standardize(scores).scaled
+    scaled = standardize(scores)
     order = sorted(range(ds.n), key=ds.times.__getitem__)
     columns = {key: [column[k] for k in order] for key, column in _subject_columns(ds).items()}
     times = columns["time"]
@@ -233,7 +235,7 @@ def cmd_scores(args) -> int:
     columns.update(
         survival=[pooled.left(t) for t in times],
         weight=[scores.weights[j - 1] if j >= 1 else None for j in intervals],
-        score=[scores.raw[k] for k in order],
+        score=[scores.values[k] for k in order],
         scaled_score=[scaled[k] for k in order],
     )
     _emit(_tabulate(columns, args.format), args)
@@ -243,9 +245,9 @@ def cmd_scores(args) -> int:
 def cmd_pseudo(args) -> int:
     spec = _flag_spec(args.estimand, args)
     ds = _load(args)
-    ps = spec.per_subject(ds)
+    ps = pseudo_values(ds, spec)
     columns = _subject_columns(ds)
-    columns.update(loo_estimate=ps.loo, pseudo=ps.values, scaled_pseudo=ps.scaled)
+    columns.update(loo_estimate=ps.loo, pseudo=ps.values, scaled_pseudo=standardize_pseudo(ps))
     _emit(_tabulate(columns, args.format), args)
     return 0
 
@@ -322,7 +324,7 @@ def cmd_panels(args) -> int:
     panels = []
     for text in specs:
         spec = parse_method_spec(text)
-        scaled = spec.per_subject(ds).scaled
+        scaled = spec.scaled(ds)
         panels.append(PlotPanel.from_values(spec.describe(), ds.times, scaled, ds.arms, ds.events))
     out = Path(args.output)
     out.write_text(render_svg(panels, columns=args.columns), encoding="utf-8")

@@ -8,7 +8,7 @@ randomization variance.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import compress
 from typing import ClassVar
 
@@ -63,8 +63,8 @@ class WeightSpec:
             return f"Fleming-Harrington({self.rho:g},{self.gamma:g})"
         return f"modest(s*={self.s_star:g})"
 
-    def per_subject(self, ds: TrialDataset) -> "ScoreSet":
-        """Standardized per-subject scores of ``ds`` under this weight."""
+    def scaled(self, ds: TrialDataset) -> tuple[float, ...]:
+        """The per-subject scores of ``ds`` under this weight, on the [-1, 1] axis."""
         return standardize(score_chain(ds, self)[2])
 
     def test(self, ds: TrialDataset) -> "TestResult":
@@ -74,27 +74,17 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class ScoreSet:
-    """Per-subject raw scores in dataset order, plus the rescaling onto [-1, 1].
-
-    ``scaled`` is filled by standardize(), the one map _unit_axis() shared with
-    pseudo-values: increasing, lowest score to -1 and highest to 1 exactly.
-    """
+    """Per-subject raw scores in dataset order; standardize() maps them onto [-1, 1]."""
 
     source: TrialDataset
     spec: WeightSpec | None
     weights: tuple[float, ...]  # one per distinct event time
-    raw: tuple[float, ...]  # one per subject
-    scaled: tuple[float, ...] | None = None
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        """The raw scores: the unscaled per-subject values, named as on PseudoSet."""
-        return self.raw
+    values: tuple[float, ...]  # one per subject
 
     @property
     def arm1_sum(self) -> float:
         """Sum of raw scores on arm 1 == the weighted log-rank statistic."""
-        return sum(compress(self.raw, self.source.arms))
+        return sum(compress(self.values, self.source.arms))
 
 
 @dataclass(frozen=True)
@@ -106,7 +96,7 @@ class TestResult:
     p-value follow from the three, the p-value small when z lies on the
     benefit tail.  The descriptor says which test produced it.
     ``per_subject`` carries the raw ScoreSet or PseudoSet behind the
-    statistic for permutation; its ``scaled`` is None for every test.
+    statistic for permutation.
     """
 
     method: str
@@ -209,9 +199,9 @@ def _unit_axis(values, benefit: str, what: str) -> tuple[float, ...]:
     return scaled
 
 
-def standardize(scores: ScoreSet) -> ScoreSet:
-    """Scores on the one [-1, 1] axis of _unit_axis(); a score's benefit is "lower"."""
-    return replace(scores, scaled=_unit_axis(scores.raw, WeightSpec.benefit, "score"))
+def standardize(scores: ScoreSet) -> tuple[float, ...]:
+    """Scores on the one [-1, 1] axis of _unit_axis(): increasing, lowest to -1 and highest to 1."""
+    return _unit_axis(scores.values, WeightSpec.benefit, "score")
 
 
 def perm_moments(values, n_arm1: int) -> tuple[float, float]:

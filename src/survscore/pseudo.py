@@ -10,7 +10,7 @@ either each arm separately (the default) or the pooled sample.
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .curves import (
@@ -108,8 +108,8 @@ class EstimandSpec:
         ]
         return f"{self.label} [{backend}, {self.pooling}]"
 
-    def per_subject(self, ds: TrialDataset) -> "PseudoSet":
-        """Standardized pseudo-values of ``ds`` for this estimand."""
+    def scaled(self, ds: TrialDataset) -> tuple[float, ...]:
+        """The pseudo-values of ``ds`` for this estimand, on the [-1, 1] axis."""
         return standardize_pseudo(pseudo_values(ds, self))
 
     def test(self, ds: TrialDataset) -> "TestResult":
@@ -126,8 +126,8 @@ class PseudoSet:
     """Per-subject pseudo-values in dataset order.
 
     ``loo`` holds the leave-one-out functional estimate behind each value,
-    ``functionals`` the full-sample estimate per fitting group.  ``scaled``
-    is filled by standardize_pseudo(), the _unit_axis() map of scores: best -1, worst 1.
+    ``functionals`` the full-sample estimate per fitting group.
+    standardize_pseudo() maps the values onto [-1, 1].
     """
 
     source: TrialDataset
@@ -135,7 +135,6 @@ class PseudoSet:
     values: tuple[float, ...]
     loo: tuple[float, ...]
     functionals: dict[str, float]
-    scaled: tuple[float, ...] | None = None
 
 
 def _functional(at, integral, spec: EstimandSpec) -> float:
@@ -343,9 +342,9 @@ def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
     return PseudoSet(ds, spec, tuple(values), tuple(loo), functionals)
 
 
-def standardize_pseudo(ps: PseudoSet) -> PseudoSet:
-    """Pseudo-values on the one [-1, 1] axis of _unit_axis(), oriented by the estimand's benefit."""
-    return replace(ps, scaled=_unit_axis(ps.values, ps.spec.benefit, "pseudo-value"))
+def standardize_pseudo(ps: PseudoSet) -> tuple[float, ...]:
+    """Pseudo-values on the one [-1, 1] axis of _unit_axis(), as scores: best -1, worst 1."""
+    return _unit_axis(ps.values, ps.spec.benefit, "pseudo-value")
 
 
 def pseudo_test(ps: PseudoSet) -> TestResult:

@@ -95,12 +95,18 @@ def pseudo_friendly_dataset(seed, max_per_arm=15):
             return ds, tau
 
 
-def simulated_trial_csv(tmp_path):
-    """``scripts/simulate_delayed_effect.py --n-per-arm 150 --seed 1``, written to tmp_path."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "simulate_delayed_effect.py"
-    spec = importlib.util.spec_from_file_location("simulate_delayed_effect", path)
+def load_script(name):
+    """The module ``scripts/<name>.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def simulated_trial_csv(tmp_path):
+    """``scripts/simulate_delayed_effect.py --n-per-arm 150 --seed 1``, written to tmp_path."""
+    script = load_script("simulate_delayed_effect")
     out = tmp_path / "trial.csv"
     assert script.main(["--n-per-arm", "150", "--seed", "1", "--output", str(out)]) == 0
     return out

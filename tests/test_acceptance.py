@@ -85,7 +85,7 @@ def read_csv(path):
 
 
 def standardized_logrank(toy):
-    return ss.WeightSpec.logrank().per_subject(toy)
+    return ss.WeightSpec.logrank().scaled(toy)
 
 
 def test_criterion_01_score_table(toy_csv_path, tmp_path):
@@ -108,7 +108,7 @@ def test_criterion_02_arm_means(toy):
     with criterion(2, "standardized score arm means are 0.0973 and -0.209"):
         scores = standardized_logrank(toy)
         for arm, expected in ((0, 0.0973), (1, -0.209)):
-            values = [b for b, s in zip(scores.scaled, toy.subjects) if s.arm == arm]
+            values = [b for b, s in zip(scores, toy.subjects) if s.arm == arm]
             assert sum(values) / len(values) == pytest.approx(expected, abs=5e-4)
 
 
@@ -136,7 +136,7 @@ def test_criterion_04_identity_suite(toy):
             assert abs(res.variance - base.variance) < 1e-9
             assert abs(res.z - base.z) < 1e-9
             assert abs(res.p_one_sided - base.p_one_sided) < 1e-9
-            for a, b in zip(res.per_subject.raw, base.per_subject.raw):
+            for a, b in zip(res.per_subject.values, base.per_subject.values):
                 assert abs(a - b) < 1e-9
 
         for pooling in ("arm", "pooled"):
@@ -155,7 +155,7 @@ def test_criterion_04_identity_suite(toy):
             pooled = ss.km_fit(ds)
             for spec in ALL_WEIGHTS:
                 weights = ss.compute_weights(rt, pooled, spec)
-                assert abs(sum(ss.compute_scores(rt, weights).raw)) < 1e-9
+                assert abs(sum(ss.compute_scores(rt, weights).values)) < 1e-9
 
 
 def test_criterion_05_score_sum_equals_statistic():
@@ -201,14 +201,15 @@ def test_criterion_07_permutation_affine_invariance():
         rng = SplitMix64(2024)
         for seed in range(20):
             ds = random_dataset(seed, max_n=12)
-            scores = ss.WeightSpec.logrank().per_subject(ds)
+            spec = ss.WeightSpec.logrank()
+            scores = spec.test(ds).per_subject
             alpha = 0.1 + 5.0 * rng.next_uniform()
             beta = 10.0 * rng.next_uniform() - 5.0
-            mapped = [alpha * a + beta for a in scores.raw]
+            mapped = [alpha * a + beta for a in scores.values]
             for direction in ("lower", "upper"):
-                p_raw = ss.exact_perm_p(scores.raw, ds.arms, direction)
+                p_raw = ss.exact_perm_p(scores.values, ds.arms, direction)
                 assert ss.exact_perm_p(mapped, ds.arms, direction) == p_raw
-                assert ss.exact_perm_p(scores.scaled, ds.arms, direction) == p_raw
+                assert ss.exact_perm_p(spec.scaled(ds), ds.arms, direction) == p_raw
 
 
 def test_criterion_08_variance_agreement():
@@ -229,7 +230,7 @@ def test_criterion_08_variance_agreement():
             rt = ss.build_risk_table(ds)
             weights = ss.compute_weights(rt, ss.km_fit(ds), ss.WeightSpec.logrank())
             _, v = ss.u_and_v(rt, weights)
-            var_sum, _ = ss.perm_moments(ss.compute_scores(rt, weights).raw, ds.n_arm1)
+            var_sum, _ = ss.perm_moments(ss.compute_scores(rt, weights).values, ds.n_arm1)
             within += abs(v - var_sum) / v <= 0.05
         assert within >= 45  # at least 90% of 50 datasets
 
@@ -241,7 +242,7 @@ def test_criterion_09_monotonicity(toy):
             rt = ss.build_risk_table(ds)
             scores = ss.compute_scores(rt, (1.0,) * len(rt.times))
             events = sorted(
-                {(s.time, a) for s, a in zip(ds.subjects, scores.raw) if s.event}
+                {(s.time, a) for s, a in zip(ds.subjects, scores.values) if s.event}
             )
             values = [a for _, a in events]
             assert all(b < a for a, b in zip(values, values[1:]))
@@ -251,7 +252,7 @@ def test_criterion_09_monotonicity(toy):
         scores = ss.compute_scores(rt, weights)
         first_three = [
             a for _, a in sorted(
-                (s.time, a) for s, a in zip(toy.subjects, scores.raw) if s.event
+                (s.time, a) for s, a in zip(toy.subjects, scores.values) if s.event
             )
         ][:3]
         assert first_three == pytest.approx([0.000, 0.076, 0.142], abs=1e-3)

@@ -17,15 +17,18 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from survscore import EstimandSpec, WeightSpec, parse_dataset, wlrt_test
+from survscore import (
+    EstimandSpec, WeightSpec, parse_dataset, standardize, standardize_pseudo, wlrt_test,
+)
 from survscore.cli import (
     KM_TEST_KEYS, METHOD_KEYS, OPTIONS, _flag_spec, _tabulate, build_parser, main,
     parse_method_spec,
 )
 from tests import oracles
-from tests.conftest import TOY_CSV, simulated_trial_csv
+from tests.conftest import TOY_CSV, load_script, simulated_trial_csv
 
 ROOT = Path(__file__).resolve().parents[1]
+EXPERIMENT = load_script("method_comparison_experiment")
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
 
@@ -282,6 +285,15 @@ def test_compare_needs_two_specs(toy_csv_path, tmp_path, capsys):
     assert "at least two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", EXPERIMENT.MAIN_GRID + EXPERIMENT.FH_GRID)
+def test_panel_draws_the_map_of_what_its_test_tested(text, toy):
+    spec = parse_method_spec(text)
+    tested = spec.test(toy).per_subject
+    assert not hasattr(tested, "scaled")
+    mapped = (standardize if isinstance(spec, WeightSpec) else standardize_pseudo)(tested)
+    assert list(map(float.hex, spec.scaled(toy))) == list(map(float.hex, mapped))
+
+
 def test_utf8_bom_input(tmp_path, toy_csv_path, capsys):
     bom = tmp_path / "bom.csv"
     bom.write_text("\ufeff" + TOY_CSV, encoding="utf-8")
@@ -415,7 +427,9 @@ def test_flag_and_spec_spellings_give_one_spec(name):
     assert from_flags == base
     for key in METHOD_KEYS[name]:
         if key not in required:
-            from_flags, from_spec = _specs_both_ways(name, [*required, key])
+            # breakpoints are read only with backend pwexp
+            keys = [*required, "backend", key] if key == "breakpoints" else [*required, key]
+            from_flags, from_spec = _specs_both_ways(name, keys)
             assert from_flags == from_spec != base  # each sample text differs from the default
 
 
@@ -467,6 +481,21 @@ def test_bad_spec_names_its_spec_text(argv, message, toy_csv_path, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pseudo", "--estimand", "rmst", "--tau", "3", "--backend", "km", "--breakpoints", "1,2"],
+     "--breakpoints: read only with --backend pwexp"),
+    (["test", "--method", "pseudo", "--estimand", "rmst", "--tau", "3", "--backend", "exp",
+      "--breakpoints", "1,2"], "--breakpoints: read only with --backend pwexp"),
+    (["plot", "--spec", "rmst:tau=3,breakpoints=1:2"],
+     "bad method spec 'rmst:tau=3,breakpoints=1:2': breakpoints: read only with backend pwexp"),
+])
+def test_breakpoints_without_pwexp_are_refused(argv, message, toy_csv_path, tmp_path, capsys):
+    out = tmp_path / "out.svg"
+    assert run(*argv, "--input", str(toy_csv_path), "--output", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # Every score is 0: one event time at which both subjects have their event.
 DEGENERATE_CSV = "time,arm,event\n5,0,1\n5,1,1\n"
 
@@ -485,8 +514,10 @@ def test_test_on_equal_scores_reads_z_zero(method, tmp_path, capsys):
 
 @pytest.mark.parametrize("given_argv, omitted_argv", [
     ("scores --test fh --rho 0 --gamma 0", "scores --test fh"),
-    ("pseudo --estimand ahsw --tau 18 --backend km --breakpoints 2,4,6,8 --pooling arm "
-     "--ahsw-scale log", "pseudo --estimand ahsw --tau 18"),
+    ("pseudo --estimand ahsw --tau 18 --backend km --pooling arm --ahsw-scale log",
+     "pseudo --estimand ahsw --tau 18"),
+    ("pseudo --estimand rmst --tau 18 --backend pwexp --breakpoints 2,4,6,8",
+     "pseudo --estimand rmst --tau 18 --backend pwexp"),
     ("test --method logrank --perm mc --replicates 10000 --seed 0",
      "test --method logrank --perm mc"),
 ])

@@ -97,7 +97,7 @@ def test_variance_term_boundaries():
 def test_scores_toy_values(toy_parts):
     toy, rt, pooled = toy_parts
     scores = compute_scores(rt, (1.0,) * 7)
-    by_subject = dict(zip(((s.time, s.event) for s in toy.subjects), scores.raw))
+    by_subject = dict(zip(((s.time, s.event) for s in toy.subjects), scores.values))
     assert by_subject[(4.38, 1)] == pytest.approx(0.917, abs=1e-3)
     assert by_subject[(28.69, 0)] == pytest.approx(-0.820, abs=1e-3)
     # the last event's score comes from the decomposition formula
@@ -108,7 +108,7 @@ def test_scores_fh01_first_three_events_increase(toy_parts):
     toy, rt, pooled = toy_parts
     w = compute_weights(rt, pooled, WeightSpec.fleming_harrington(0, 1))
     scores = compute_scores(rt, w)
-    events = sorted((s.time, a) for s, a in zip(toy.subjects, scores.raw) if s.event)
+    events = sorted((s.time, a) for s, a in zip(toy.subjects, scores.values) if s.event)
     first_three = [a for _, a in events[:3]]
     assert first_three == pytest.approx([0.000, 0.076, 0.142], abs=1e-3)
     assert first_three[0] < first_three[1] < first_three[2]
@@ -117,14 +117,14 @@ def test_scores_fh01_first_three_events_increase(toy_parts):
 def test_score_censored_before_first_event_is_zero():
     ds = TrialDataset((Subject(1.0, 0, 0), Subject(2.0, 0, 1), Subject(3.0, 1, 1)))
     scores = _scores(ds, WeightSpec.logrank())
-    assert scores.raw[0] == 0.0
+    assert scores.values[0] == 0.0
 
 
 def test_scores_sum_to_zero_across_specs():
     for seed in range(25):
         ds = random_dataset(seed)
         for spec in ALL_SPECS:
-            assert abs(sum(_scores(ds, spec).raw)) < 1e-9
+            assert abs(sum(_scores(ds, spec).values)) < 1e-9
 
 
 @given(st.integers(0, 10_000))
@@ -141,17 +141,18 @@ def test_arm1_score_sum_equals_u(seed):
 
 def test_standardize_toy(toy_parts):
     toy, rt, pooled = toy_parts
-    scores = standardize(compute_scores(rt, (1.0,) * 7))
-    hi, lo = max(scores.raw), min(scores.raw)
+    scores = compute_scores(rt, (1.0,) * 7)
+    scaled = standardize(scores)
+    hi, lo = max(scores.values), min(scores.values)
     scale = 2.0 / (hi - lo)
-    offset = scores.scaled[scores.raw.index(hi)] - scale * hi
+    offset = scaled[scores.values.index(hi)] - scale * hi
     assert scale == pytest.approx(1.152, abs=1e-3)
     assert offset == pytest.approx(-0.056, abs=1e-3)
-    assert scores.scaled == pytest.approx([scale * a + offset for a in scores.raw], abs=1e-12)
-    assert max(scores.scaled) == pytest.approx(1.0, abs=1e-12)
-    assert min(scores.scaled) == pytest.approx(-1.0, abs=1e-12)
+    assert scaled == pytest.approx([scale * a + offset for a in scores.values], abs=1e-12)
+    assert max(scaled) == pytest.approx(1.0, abs=1e-12)
+    assert min(scaled) == pytest.approx(-1.0, abs=1e-12)
     means = [
-        sum(b for b, s in zip(scores.scaled, toy.subjects) if s.arm == arm) / 6
+        sum(b for b, s in zip(scaled, toy.subjects) if s.arm == arm) / 6
         for arm in (0, 1)
     ]
     assert means[0] == pytest.approx(0.0973, abs=5e-4)
@@ -161,7 +162,7 @@ def test_standardize_toy(toy_parts):
 def test_standardize_degenerate():
     ds = TrialDataset((Subject(1.0, 0, 1), Subject(1.0, 1, 1)))
     scores = _scores(ds, WeightSpec.logrank())
-    assert len(set(scores.raw)) == 1
+    assert len(set(scores.values)) == 1
     with pytest.raises(ValueError, match="degenerate score range"):
         standardize(scores)
 
@@ -173,12 +174,12 @@ def test_standardize_preserves_order():
         for spec in (WeightSpec.logrank(), WeightSpec.fleming_harrington(0, 1),
                      WeightSpec.modest(0.5)):
             scores = _scores(ds, spec)
-            if len(set(scores.raw)) == 1:  # one event time, weighted 0 by FH(0,1)
+            if len(set(scores.values)) == 1:  # one event time, weighted 0 by FH(0,1)
                 with pytest.raises(ValueError, match="degenerate score range"):
                     standardize(scores)
                 continue
-            scaled = standardize(scores).scaled
-            by_raw = [scaled[k] for k in sorted(range(ds.n), key=scores.raw.__getitem__)]
+            scaled = standardize(scores)
+            by_raw = [scaled[k] for k in sorted(range(ds.n), key=scores.values.__getitem__)]
             assert by_raw == sorted(by_raw)
             assert (by_raw[0], by_raw[-1]) == (-1.0, 1.0)
             assert all(-1.0 <= b <= 1.0 for b in scaled)
@@ -186,7 +187,7 @@ def test_standardize_preserves_order():
 
 def test_perm_moments_toy(toy_parts):
     toy, rt, pooled = toy_parts
-    raw = compute_scores(rt, (1.0,) * 7).raw
+    raw = compute_scores(rt, (1.0,) * 7).values
     var_sum, var_diff = perm_moments(raw, 6)
     ssq = sum(a * a for a in raw)  # scores already sum to zero
     assert var_sum == pytest.approx(36 / 132 * ssq, abs=1e-12)
@@ -211,12 +212,12 @@ def test_perm_moments_refuses_overflowing_sum_of_squares():
 
 def test_mean_score_diff(toy_parts):
     toy, rt, pooled = toy_parts
-    scores = standardize(compute_scores(rt, (1.0,) * 7))
-    diff = mean_score_diff(scores.scaled, toy.arms)
+    scores = compute_scores(rt, (1.0,) * 7)
+    diff = mean_score_diff(standardize(scores), toy.arms)
     assert diff == pytest.approx(-0.209 - 0.0973, abs=1e-3)
     # affine identity: the offset cancels, the slope factors out
-    raw_diff = mean_score_diff(scores.raw, toy.arms)
-    scale = 2.0 / (max(scores.raw) - min(scores.raw))
+    raw_diff = mean_score_diff(scores.values, toy.arms)
+    scale = 2.0 / (max(scores.values) - min(scores.values))
     assert diff == pytest.approx(scale * raw_diff, abs=1e-12)
     assert mean_score_diff([1.0, 1.0], [0, 1]) == 0.0
     with pytest.raises(ValueError, match="both arms"):
@@ -228,7 +229,7 @@ def test_wlrt_test_toy(toy):
     assert res.statistic == pytest.approx(-0.797, abs=1e-3)
     assert res.z == pytest.approx(res.statistic / math.sqrt(res.variance), abs=1e-12)
     assert 0 < res.p_one_sided < 0.5  # negative statistic favors arm 1
-    assert standardize(res.per_subject).scaled is not None
+    assert standardize(res.per_subject) == WeightSpec.logrank().scaled(toy)
     assert res.method == "log-rank"
 
 
@@ -245,7 +246,7 @@ def test_wlrt_fh00_and_modest1_coincide_with_logrank(toy):
         assert other.variance == base.variance
         assert other.z == base.z
         assert other.p_one_sided == base.p_one_sided
-        assert other.per_subject.raw == base.per_subject.raw
+        assert other.per_subject.values == base.per_subject.values
 
 
 def test_wlrt_requires_two_arms():
@@ -286,7 +287,7 @@ def test_logrank_event_scores_strictly_decrease():
         ds = random_dataset(seed)
         scores = _scores(ds, WeightSpec.logrank())
         events = sorted(
-            {(s.time, a) for s, a in zip(ds.subjects, scores.raw) if s.event}
+            {(s.time, a) for s, a in zip(ds.subjects, scores.values) if s.event}
         )
         values = [a for _, a in events]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -297,6 +298,6 @@ def test_modest_event_scores_nonincreasing_without_ties():
     for seed in range(40):
         ds = random_untied_dataset(seed)
         scores = _scores(ds, WeightSpec.modest(0.5))
-        events = sorted((s.time, a) for s, a in zip(ds.subjects, scores.raw) if s.event)
+        events = sorted((s.time, a) for s, a in zip(ds.subjects, scores.values) if s.event)
         values = [a for _, a in events]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))

@@ -20,7 +20,7 @@ from tests.conftest import random_dataset, simulated_trial_csv
 def small_case(seed, max_n=9):
     ds = random_dataset(seed, max_n=max_n)
     scores = wlrt_test(ds, WeightSpec.logrank()).per_subject
-    return scores.raw, ds.arms
+    return scores.values, ds.arms
 
 
 @pytest.mark.parametrize("direction", ["lower", "upper"])
@@ -32,10 +32,10 @@ def test_exact_matches_full_enumeration(direction):
 
 
 def test_exact_toy_logrank(toy):
-    scores = WeightSpec.logrank().per_subject(toy)
-    p = exact_perm_p(scores.raw, toy.arms, "lower")
+    spec = WeightSpec.logrank()
+    p = exact_perm_p(spec.test(toy).per_subject.values, toy.arms, "lower")
     assert p == 252 / 924  # frozen from the full-enumeration oracle
-    assert exact_perm_p(scores.scaled, toy.arms, "lower") == p
+    assert exact_perm_p(spec.scaled(toy), toy.arms, "lower") == p
 
 
 def test_exact_constant_values():
@@ -156,8 +156,8 @@ def test_exact_affine_invariance(values, alpha, beta, seed):
 
 def test_mc_deterministic_bit_for_bit(toy):
     scores = wlrt_test(toy, WeightSpec.logrank()).per_subject
-    a = mc_perm_p(scores.raw, toy.arms, 2000, 99, "lower")
-    b = mc_perm_p(scores.raw, toy.arms, 2000, 99, "lower")
+    a = mc_perm_p(scores.values, toy.arms, 2000, 99, "lower")
+    b = mc_perm_p(scores.values, toy.arms, 2000, 99, "lower")
     assert a == b
 
 
@@ -198,7 +198,7 @@ def test_mc_extreme_counts_pinned(tmp_path):
     replicates = 2000
     pinned = {(0, "lower"): 9, (0, "upper"): 1991, (7, "lower"): 10, (7, "upper"): 1990}
     for (seed, direction), extreme in pinned.items():
-        got = mc_perm_p(scores.raw, ds.arms, replicates, seed, direction)
+        got = mc_perm_p(scores.values, ds.arms, replicates, seed, direction)
         assert got.p == (1 + extreme) / (replicates + 1), (seed, direction)
 
 
@@ -212,18 +212,18 @@ def test_mc_constant_values():
 
 def test_mc_close_to_exact(toy):
     scores = wlrt_test(toy, WeightSpec.logrank()).per_subject
-    exact = exact_perm_p(scores.raw, toy.arms, "lower")
-    mc = mc_perm_p(scores.raw, toy.arms, 100_000, 0, "lower")
+    exact = exact_perm_p(scores.values, toy.arms, "lower")
+    mc = mc_perm_p(scores.values, toy.arms, 100_000, 0, "lower")
     assert abs(mc.p - exact) <= 3 * math.sqrt(exact * (1 - exact) / mc.replicates)
 
 
 def test_mc_convergence_across_seeds(toy):
     scores = wlrt_test(toy, WeightSpec.logrank()).per_subject
-    exact = exact_perm_p(scores.raw, toy.arms, "lower")
+    exact = exact_perm_p(scores.values, toy.arms, "lower")
     replicates = 1000
     bound = 4 * math.sqrt(exact * (1 - exact) / replicates)
     hits = sum(
-        abs(mc_perm_p(scores.raw, toy.arms, replicates, seed, "lower").p - exact) <= bound
+        abs(mc_perm_p(scores.values, toy.arms, replicates, seed, "lower").p - exact) <= bound
         for seed in range(100)
     )
     assert hits >= 99

@@ -60,8 +60,8 @@ def test_estimand_spec_validation():
 
 
 def test_toy_rmst_pseudo_values(toy):
-    ps = standardize_pseudo(pseudo_values(toy, RMST18))
-    for subject, loo, value, scaled in zip(toy.subjects, ps.loo, ps.values, ps.scaled):
+    ps = pseudo_values(toy, RMST18)
+    for subject, loo, value, scaled in zip(toy.subjects, ps.loo, ps.values, standardize_pseudo(ps)):
         want_loo, want_value, want_scaled = TOY_EXPECTED[(subject.time, subject.arm)]
         assert loo == pytest.approx(want_loo, abs=1e-3)
         assert value == pytest.approx(want_value, abs=1e-3)
@@ -142,23 +142,22 @@ def test_ahsw_log_of_zero_named():
 
 
 def test_standardize_pseudo_orientation(toy):
-    ps = standardize_pseudo(pseudo_values(toy, RMST18))
+    ps = pseudo_values(toy, RMST18)
+    scaled = standardize_pseudo(ps)
     best = max(range(toy.n), key=lambda k: ps.values[k])
     worst = min(range(toy.n), key=lambda k: ps.values[k])
-    assert ps.scaled[best] == pytest.approx(-1.0, abs=1e-12)
-    assert ps.scaled[worst] == pytest.approx(1.0, abs=1e-12)
+    assert scaled[best] == pytest.approx(-1.0, abs=1e-12)
+    assert scaled[worst] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_standardize_ahsw_keeps_score_orientation(toy):
     # for ahsw a small value is the good outcome, so the early event must
     # still land at +1 like a log-rank score
-    ps = standardize_pseudo(
-        pseudo_values(toy, EstimandSpec(kind="ahsw", tau=18.0, pooling="pooled"))
-    )
+    ps = pseudo_values(toy, EstimandSpec(kind="ahsw", tau=18.0, pooling="pooled"))
     early_event = min(
         (k for k, s in enumerate(toy.subjects) if s.event), key=lambda k: toy.subjects[k].time
     )
-    assert ps.scaled[early_event] == pytest.approx(1.0, abs=1e-12)
+    assert standardize_pseudo(ps)[early_event] == pytest.approx(1.0, abs=1e-12)
     assert ps.values[early_event] == max(ps.values)
 
 
@@ -167,17 +166,18 @@ def test_standardize_pseudo_hits_both_ends_exactly():
         ds, tau = pseudo_friendly_dataset(seed)
         for kind in ("rmst", "ahsw"):
             for backend in ("km", "exponential"):
-                ps = standardize_pseudo(pseudo_values(ds, EstimandSpec(kind, tau=tau, backend=backend)))
-                assert (min(ps.scaled), max(ps.scaled)) == (-1.0, 1.0)
-                assert all(-1.0 <= b <= 1.0 for b in ps.scaled)
+                spec = EstimandSpec(kind, tau=tau, backend=backend)
+                scaled = standardize_pseudo(pseudo_values(ds, spec))
+                assert (min(scaled), max(scaled)) == (-1.0, 1.0)
+                assert all(-1.0 <= b <= 1.0 for b in scaled)
 
 
 def test_standardize_pseudo_orientations_mirror_exactly(toy):
     ps = pseudo_values(toy, RMST18)
     ahsw = EstimandSpec(kind="ahsw", tau=18.0)
     assert (RMST18.benefit, ahsw.benefit) == ("upper", "lower")
-    upper = standardize_pseudo(ps).scaled
-    lower = standardize_pseudo(replace(ps, spec=ahsw)).scaled
+    upper = standardize_pseudo(ps)
+    lower = standardize_pseudo(replace(ps, spec=ahsw))
     assert upper == tuple(-b for b in lower)
 
 
@@ -245,13 +245,14 @@ def test_pseudo_test_ahsw_orientation():
 
 
 def test_scaled_statistic_is_negative_affine_image(toy):
-    ps = standardize_pseudo(pseudo_values(toy, RMST18))
+    ps = pseudo_values(toy, RMST18)
+    scaled = standardize_pseudo(ps)
     raw_diff = mean_score_diff(ps.values, toy.arms)
-    scaled_diff = mean_score_diff(ps.scaled, toy.arms)
+    scaled_diff = mean_score_diff(scaled, toy.arms)
     span = max(ps.values) - min(ps.values)
     assert scaled_diff == pytest.approx(-(2.0 / span) * raw_diff, abs=1e-12)
     # orientation reversal swaps the permutation tails exactly
-    assert exact_perm_p(ps.scaled, toy.arms, "lower") == exact_perm_p(
+    assert exact_perm_p(scaled, toy.arms, "lower") == exact_perm_p(
         ps.values, toy.arms, "upper"
     )
 

@@ -14,8 +14,8 @@ SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
 
 
 def toy_panel(toy):
-    scores = WeightSpec.logrank().per_subject(toy)
-    return PlotPanel.from_values("log-rank", toy.times, scores.scaled, toy.arms, toy.events)
+    scaled = WeightSpec.logrank().scaled(toy)
+    return PlotPanel.from_values("log-rank", toy.times, scaled, toy.arms, toy.events)
 
 
 def mean_lines(group):
@@ -108,7 +108,7 @@ def compare_panels(ds, specs):
     panels = []
     for text in specs:
         spec = parse_method_spec(text)
-        scaled = spec.per_subject(ds).scaled
+        scaled = spec.scaled(ds)
         panels.append(PlotPanel.from_values(spec.describe(), ds.times, scaled, ds.arms, ds.events))
     return panels
 
