@@ -133,6 +133,13 @@ METHOD_KEYS = {  # method name -> the options its spec reads
     "ahsw": ("tau", "log", *FIT_KEYS),
 }
 KM_TEST_KEYS = {"rmst": ("tau",), "milestone": ("kappa",)}  # the closed-form KM tests fit nothing
+CHOICES = {  # dest -> (flag, its words), for the choice flags that are not OPTIONS rows
+    "format": ("--format", ("csv", "json")),
+    "test": ("--test", ("logrank", "fh", "mw")),
+    "method": ("--method", ("rmst", "milestone", "logrank", "fh", "mw", "pseudo")),
+    "estimand": ("--estimand", ESTIMAND_KINDS),
+    "perm": ("--perm", ("exact", "mc")),
+}
 
 
 def _method_spec(name: str, texts: dict, spell=str, where: str = "", reads=None):
@@ -231,7 +238,7 @@ def cmd_scores(args) -> int:
     columns = {key: [column[k] for k in order] for key, column in _subject_columns(ds).items()}
     times = columns["time"]
     # the number of event times <= t, which is >= 1 for an event, indexes its weight
-    intervals = map(rt.interval_index, times)
+    intervals = map(rt.intervals.__getitem__, order)
     columns.update(
         survival=[pooled.left(t) for t in times],
         weight=[scores.weights[j - 1] if j >= 1 else None for j in intervals],
@@ -335,15 +342,33 @@ def cmd_panels(args) -> int:
     return 0
 
 
+def _listed(words) -> str:
+    """The metavar of a choice flag: its words listed, not enforced by argparse, so that
+    a bad word is refused with one error line (by _method_spec or _check_choices)."""
+    return "{" + ",".join(words) + "}"
+
+
 def _add_method_flags(parser, methods) -> None:
     """One flag per ``OPTIONS`` row that one of ``methods`` reads, in table order."""
     read = {key for name in methods for key in METHOD_KEYS[name]}
     for key, (flag, parse, default, text) in OPTIONS.items():
         if key in read:
-            # choices listed, not enforced: _method_spec refuses a bad word with one error line
-            metavar = "{" + ",".join(parse) + "}" if isinstance(parse, dict) else None
+            metavar = _listed(parse) if isinstance(parse, dict) else None
             parser.add_argument(flag, dest=key, metavar=metavar,
                                 help=text if default is None else f"{text} (default: {default})")
+
+
+def _add_choice_flag(parser, dest: str, **kwargs) -> None:
+    flag, words = CHOICES[dest]
+    parser.add_argument(flag, dest=dest, metavar=_listed(words), **kwargs)
+
+
+def _check_choices(args) -> None:
+    """Refuse a word no ``CHOICES`` flag admits, in the wording of _method_spec."""
+    for dest, (flag, words) in CHOICES.items():
+        word = getattr(args, dest, None)
+        if word is not None and word not in words:
+            raise ValueError(f"bad {flag} {word!r}: expected {', '.join(words)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", required=True, help="input CSV (time,arm,event)")
     common.add_argument("--output", default=None, help="output path (default: stdout)")
     tabular = argparse.ArgumentParser(add_help=False)
-    tabular.add_argument("--format", choices=["csv", "json"], default="csv")
+    _add_choice_flag(tabular, "format", default="csv")
 
     parser = argparse.ArgumentParser(
         prog="survscore",
@@ -365,25 +390,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scores", parents=[common, tabular],
                        help="weighted log-rank scores per subject")
-    p.add_argument("--test", choices=["logrank", "fh", "mw"], default="logrank",
-                   help="weight function (default: logrank)")
+    _add_choice_flag(p, "test", default="logrank", help="weight function (default: logrank)")
     _add_method_flags(p, ("fh", "mw"))
     p.set_defaults(func=cmd_scores)
 
     p = sub.add_parser("pseudo", parents=[common, tabular],
                        help="jackknife pseudo-values per subject")
-    p.add_argument("--estimand", choices=ESTIMAND_KINDS, required=True)
+    _add_choice_flag(p, "estimand", required=True)
     _add_method_flags(p, ESTIMAND_KINDS)
     p.set_defaults(func=cmd_pseudo)
 
     p = sub.add_parser("test", parents=[common], help="run a test, result as JSON")
-    p.add_argument("--method", choices=["rmst", "milestone", "logrank", "fh", "mw", "pseudo"],
-                   required=True)
-    p.add_argument("--estimand", choices=ESTIMAND_KINDS)
+    _add_choice_flag(p, "method", required=True)
+    _add_choice_flag(p, "estimand")
     _add_method_flags(p, METHOD_KEYS)
-    p.add_argument("--perm", choices=["exact", "mc"], default=None,
-                   help=f"add a permutation p-value (exact up to {EXACT_HALF_SUMS_LIMIT} "
-                        "half-subset sums: balanced arms up to n = 40)")
+    _add_choice_flag(p, "perm",
+                     help=f"add a permutation p-value (exact up to {EXACT_HALF_SUMS_LIMIT} "
+                          "half-subset sums: balanced arms up to n = 40)")
     p.add_argument("--replicates", type=int, help="Monte-Carlo replicates (default: 10000)")
     p.add_argument("--seed", type=int, help="Monte-Carlo seed (default: 0)")
     p.add_argument("--flip-direction", action="store_true",
@@ -418,6 +441,7 @@ def main(argv=None) -> int:
         print("error: plot and compare require --output", file=sys.stderr)
         return 2
     try:
+        _check_choices(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

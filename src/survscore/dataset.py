@@ -6,8 +6,8 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
+from functools import cached_property, lru_cache
+from itertools import compress, repeat
 
 CSV_HEADER = ("time", "arm", "event")
 _LABELS = {"0": 0, "1": 1}  # the only arm and event labels, as the ints a Subject holds
@@ -42,7 +42,11 @@ class TrialDataset:
 
     Immutable; order is meaningful.  ``times``, ``arms`` and ``events``
     hold, in dataset order, the same objects the subjects do, and
-    ``subjects`` gives the same rows as ``Subject`` records.
+    ``subjects`` gives the same rows as ``Subject`` records.  What is
+    derived from the rows (``subjects``, the risk-table columns, the arm
+    split) is computed on first use and kept in the instance ``__dict__``;
+    none of it points back at the dataset, so dropping the last reference
+    frees it at once, without the cycle collector.
     """
 
     times: tuple[float, ...]
@@ -74,6 +78,35 @@ class TrialDataset:
     def subjects(self) -> tuple[Subject, ...]:
         """The rows as ``Subject`` records, built and validated on first use."""
         return tuple(map(Subject, self.times, self.arms, self.events))
+
+    @cached_property
+    def _risk_columns(self) -> tuple[tuple, ...]:
+        """The columns of ``build_risk_table(self)`` after ``source``, in field order.
+
+        The table itself is not kept: its ``source`` is this dataset.
+        """
+        events = Counter(compress(self.times, self.events))
+        if not events:
+            raise ValueError("no event times: dataset contains only censored subjects")
+        times1 = list(compress(self.times, self.arms))
+        events1 = Counter(compress(times1, compress(self.events, self.arms)))
+        ordered = sorted(self.times)
+        ordered1 = sorted(times1)
+        times = tuple(sorted(events))
+        return (
+            times,
+            tuple(len(ordered) - bisect_left(ordered, t) for t in times),
+            tuple(map(events.__getitem__, times)),
+            tuple(len(ordered1) - bisect_left(ordered1, t) for t in times),
+            tuple(map(events1.__getitem__, times)),
+            tuple(map(bisect_right, repeat(times), self.times)),
+        )
+
+    @cached_property
+    def _arm_split(self) -> tuple["TrialDataset", "TrialDataset"]:
+        """The pair ``split_by_arm(self)`` returns."""
+        on_arm0 = [not arm for arm in self.arms]
+        return _select(self, on_arm0), _select(self, self.arms)
 
     @property
     def n(self) -> int:
@@ -117,7 +150,10 @@ class RiskTable:
     events there.  Both count the two arms together; ``at_risk1`` and
     ``events1`` count arm 1 alone.  ``source`` keeps the generating dataset
     so per-subject quantities (scores, pseudo-values) can be broadcast back
-    in dataset order.
+    in dataset order.  ``intervals`` holds, for each subject of ``source``
+    in source order, the number of event times at or before its time (0 =
+    before the first), so an event's own event time is column
+    ``intervals[k] - 1``.
     """
 
     source: TrialDataset
@@ -126,18 +162,18 @@ class RiskTable:
     events: tuple[int, ...]
     at_risk1: tuple[int, ...]
     events1: tuple[int, ...]
-
-    def interval_index(self, time: float) -> int:
-        """Number of distinct event times <= ``time`` (0 = before the first)."""
-        return bisect_right(self.times, time)
+    intervals: tuple[int, ...]
 
 
+@lru_cache(maxsize=1)
 def parse_dataset(text: str) -> TrialDataset:
     """Parse CSV content with header ``time,arm,event`` into a dataset.
 
     Raises DataFormatError naming the offending 1-based line on any
     malformed row; arm and event labels other than 0/1 are rejected,
-    never remapped.
+    never remapped.  The last text parsed is remembered: the same text
+    again returns the same (immutable) dataset, with whatever it has
+    computed since.  An error is not remembered.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -186,29 +222,20 @@ def _read_subjects(reader) -> TrialDataset:
 
 
 def build_risk_table(ds: TrialDataset) -> RiskTable:
-    """Tabulate at-risk and event counts at each distinct event time."""
-    events = Counter(compress(ds.times, ds.events))
-    if not events:
-        raise ValueError("no event times: dataset contains only censored subjects")
-    times1 = list(compress(ds.times, ds.arms))
-    events1 = Counter(compress(times1, compress(ds.events, ds.arms)))
-    ordered = sorted(ds.times)
-    ordered1 = sorted(times1)
-    times = tuple(sorted(events))
-    return RiskTable(
-        ds,
-        times,
-        tuple(len(ordered) - bisect_left(ordered, t) for t in times),
-        tuple(map(events.__getitem__, times)),
-        tuple(len(ordered1) - bisect_left(ordered1, t) for t in times),
-        tuple(map(events1.__getitem__, times)),
-    )
+    """Tabulate at-risk and event counts at each distinct event time.
+
+    The columns are computed once per dataset; each call wraps them in a
+    new table.
+    """
+    return RiskTable(ds, *ds._risk_columns)
 
 
 def split_by_arm(ds: TrialDataset) -> tuple[TrialDataset, TrialDataset]:
-    """Control-arm and experimental-arm subsets, each preserving order."""
-    on_arm0 = [not arm for arm in ds.arms]
-    return _select(ds, on_arm0), _select(ds, ds.arms)
+    """Control-arm and experimental-arm subsets, each preserving order.
+
+    Computed once per dataset: the same pair on every call.
+    """
+    return ds._arm_split
 
 
 def _select(ds: TrialDataset, selectors) -> TrialDataset:

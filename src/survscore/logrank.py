@@ -173,8 +173,7 @@ def compute_scores(rt: RiskTable, weights, spec: WeightSpec | None = None) -> Sc
         cum.append(running)
 
     raw = []
-    intervals = map(rt.interval_index, rt.source.times)
-    for j, event in zip(intervals, rt.source.events):  # an event's own event time is j - 1
+    for j, event in zip(rt.intervals, rt.source.events):  # an event's own event time is j - 1
         if event == 1:
             raw.append(weights[j - 1] - cum[j - 1])
         else:

@@ -175,8 +175,9 @@ def _km_leave_one_out(rt: RiskTable, spec: EstimandSpec):
     after it.  Prefix products and integrals of the shifted curve, plus
     per-horizon suffix products and integrals of the full fit's factors
     (accumulated backwards, so nothing is divided and S = 0 is safe), give
-    every subject's S(h) and RMST(h) in O(1) after one bisect.  Level j of
-    a curve is its value after j jumps, on [start_j, t_j), with start_0 = 0.
+    every subject's S(h) and RMST(h) in O(1) from its ``rt.intervals`` entry.
+    Level j of a curve is its value after j jumps, on [start_j, t_j), with
+    start_0 = 0.
     """
     times, at_risk, events = rt.times, rt.at_risk, rt.events
     starts = (0.0,) + times
@@ -219,7 +220,7 @@ def _km_leave_one_out(rt: RiskTable, spec: EstimandSpec):
         # without the subject holding the unique largest time, follow-up
         # ends at the second largest; with a tie it stays
         _check_follow_up(spec, ordered[-2] if time == ordered[-1] else ordered[-1])
-        pivot = bisect_right(times, time)  # the level where the curves part
+        pivot = rt.intervals[position]  # the level where the curves part
         level = 1.0
         if pivot:
             d = events[pivot - 1] - source_events[position]

@@ -32,6 +32,13 @@ def km_steps(subjects):
     return steps
 
 
+def event_times_through(subjects):
+    """For each (time, event) pair, in order, the number of distinct event times <= its time."""
+    subjects = list(subjects)
+    event_times = {t for t, e in subjects if e}
+    return [sum(1 for u in event_times if u <= t) for t, _ in subjects]
+
+
 def step_at(steps, t):
     """Right-continuous evaluation of a [(time, value)] step curve."""
     value = 1.0

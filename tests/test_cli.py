@@ -449,6 +449,22 @@ def test_bad_choice_flag_word_is_one_line_error(flag, choices, toy_csv_path, cap
     assert out == "" and err == f"error: bad {flag} 'foo': expected {choices}\n"
 
 
+@pytest.mark.parametrize("argv, flag, expected", [
+    (["pseudo", "--estimand", "foo"], "--estimand", "rmst, milestone, wmst, ahsw"),
+    (["scores", "--test", "foo"], "--test", "logrank, fh, mw"),
+    (["test", "--method", "foo"], "--method", "rmst, milestone, logrank, fh, mw, pseudo"),
+    (["test", "--method", "pseudo", "--estimand", "foo"], "--estimand",
+     "rmst, milestone, wmst, ahsw"),
+    (["test", "--method", "logrank", "--perm", "foo"], "--perm", "exact, mc"),
+    (["km", "--format", "foo"], "--format", "csv, json"),
+], ids=["pseudo-estimand", "scores-test", "test-method", "test-estimand", "test-perm", "format"])
+def test_bad_choice_word_outside_options_is_one_line_error(argv, flag, expected, toy_csv_path,
+                                                           capsys):
+    assert run(*argv, "--input", str(toy_csv_path)) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: bad {flag} 'foo': expected {expected}\n"
+
+
 def test_cli_import_loads_no_xml_network_or_hashing_module():
     probe = ("import sys, survscore.cli as cli; cli.build_parser(); "
              "print('\\n'.join(sys.modules))")
@@ -663,6 +679,36 @@ def test_cli_field_over_csv_limit_is_single_line_error(tmp_path, capsys):
         assert run(*command.split(), "--input", str(big)) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == "error: line 2: field larger than field limit (131072)\n"
+
+
+# the eight CLI calls of one scores-n3000 benchmark op, all on one input
+SCORE_CALLS = [
+    ["km"],
+    ["scores", "--test", "logrank"],
+    ["scores", "--test", "fh", "--rho", "0", "--gamma", "1"],
+    ["scores", "--test", "mw", "--sstar", "0.5"],
+    ["test", "--method", "logrank"],
+    ["test", "--method", "mw", "--sstar", "0.5"],
+    ["test", "--method", "rmst", "--tau", "18"],
+    ["test", "--method", "milestone", "--kappa", "18"],
+]
+
+
+def test_memos_never_change_an_answer(toy_csv_path, capsys):
+    """A fresh parse, the remembered dataset with its tables, and a parse after
+    clearing the memo print the same bytes."""
+
+    def stdouts():
+        printed = []
+        for argv in SCORE_CALLS:
+            assert run(*argv, "--input", str(toy_csv_path)) == 0
+            printed.append(capsys.readouterr().out)
+        return printed
+
+    parse_dataset.cache_clear()
+    first, second = stdouts(), stdouts()
+    parse_dataset.cache_clear()
+    assert first == second == stdouts()
 
 
 # SHA-256 of stdout plus every written file (name and bytes, in name order) of

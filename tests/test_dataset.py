@@ -1,19 +1,26 @@
+import gc
 import math
+import weakref
+from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from survscore import (
     DataFormatError,
+    EstimandSpec,
     Subject,
     TrialDataset,
+    WeightSpec,
     build_risk_table,
     inject_censoring,
     parse_dataset,
+    rmst_test,
     split_by_arm,
 )
 from survscore.rng import SplitMix64
+from tests import oracles
 from tests.conftest import TOY_CSV
 
 rows_st = st.lists(
@@ -260,3 +267,73 @@ def test_risk_table_invariant_under_row_permutation(ds, rnd):
     a = build_risk_table(ds)
     b = build_risk_table(TrialDataset(tuple(shuffled)))
     assert _columns(a) == _columns(b)
+
+
+def test_parse_memo_keeps_one_dataset_per_text():
+    parse_dataset.cache_clear()
+    ds = parse_dataset(TOY_CSV)
+    assert parse_dataset(TOY_CSV[:-1] + "\n") is ds  # an equal text, another str object
+    other = parse_dataset(TOY_CSV + "\n")  # a trailing blank line: an equal dataset
+    assert other == ds and other is not ds
+    bad = "time,arm,event\n5.0,0,2\n"
+    messages = []
+    for _ in range(2):  # an error is not remembered: raised, with one message, every time
+        with pytest.raises(DataFormatError) as exc:
+            parse_dataset(bad)
+        messages.append(str(exc.value))
+    assert messages == ["line 2: event must be 0 or 1, got '2'"] * 2
+    assert parse_dataset(TOY_CSV + "\n") is other
+
+
+def test_dataset_tabulates_and_splits_once(toy):
+    first, second = build_risk_table(toy), build_risk_table(toy)
+    assert first == second and first.source is toy
+    columns = zip(_columns(first) + (first.intervals,), _columns(second) + (second.intervals,))
+    assert all(a is b for a, b in columns)
+    assert split_by_arm(toy) is split_by_arm(toy)
+
+
+def test_no_reference_cycle_through_a_dataset():
+    """Nothing a dataset keeps points back at it, so it is freed without the cycle collector."""
+    gc.disable()
+    try:
+        parse_dataset.cache_clear()
+        ds = parse_dataset(TOY_CSV)
+        WeightSpec.logrank().test(ds)
+        rmst_test(ds, 18.0)
+        EstimandSpec("rmst", tau=18.0).test(ds)
+        split_by_arm(ds)
+        ref = weakref.ref(ds)
+        del ds
+        assert ref() is not None  # the parse memo holds it
+        parse_dataset.cache_clear()
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# few distinct times, so times tie and subjects are censored exactly at an event time
+tied_rows_st = st.lists(
+    st.tuples(st.sampled_from((1.0, 2.0, 2.5, 4.0)), st.integers(0, 1), st.integers(0, 1)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(tied_rows_st)
+@example([(2.0, 0, 1), (2.0, 1, 0), (2.0, 1, 1), (1.0, 0, 0), (4.0, 1, 0)])
+@settings(max_examples=80, deadline=None)
+def test_intervals_match_definition(rows):
+    ds = _from_rows(rows)
+    assume(ds.n_events)
+    rt = build_risk_table(ds)
+    expected = oracles.event_times_through(zip(ds.times, ds.events))
+    assert list(rt.intervals) == expected
+    assert list(rt.intervals) == [bisect_right(rt.times, t) for t in ds.times]
+    for sub in split_by_arm(ds):  # each arm table indexes its own source
+        if sub.n_events:
+            arm_rt = build_risk_table(sub)
+            assert arm_rt.source is sub and len(arm_rt.intervals) == sub.n
+            assert list(arm_rt.intervals) == oracles.event_times_through(
+                zip(sub.times, sub.events)
+            )
