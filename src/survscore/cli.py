@@ -236,12 +236,14 @@ def cmd_scores(args) -> int:
     scaled = standardize(scores)
     order = sorted(range(ds.n), key=ds.times.__getitem__)
     columns = {key: [column[k] for k in order] for key, column in _subject_columns(ds).items()}
-    times = columns["time"]
-    # the number of event times <= t, which is >= 1 for an event, indexes its weight
-    intervals = map(rt.intervals.__getitem__, order)
+    # the number j of event times <= t, which is >= 1 for an event, indexes its weight;
+    # S(t-) is the curve after j - 1 jumps when t is the j-th event time, else after j
+    levels, event_times = (1.0,) + pooled.values, rt.times
+    interval = rt.intervals.__getitem__
     columns.update(
-        survival=[pooled.left(t) for t in times],
-        weight=[scores.weights[j - 1] if j >= 1 else None for j in intervals],
+        survival=[levels[j - 1] if j and t == event_times[j - 1] else levels[j]
+                  for t, j in zip(columns["time"], map(interval, order))],
+        weight=[scores.weights[j - 1] if j >= 1 else None for j in map(interval, order)],
         score=[scores.values[k] for k in order],
         scaled_score=[scaled[k] for k in order],
     )

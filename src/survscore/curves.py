@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .dataset import RiskTable, TrialDataset, build_risk_table
+from .dataset import TrialDataset
 
 
 @dataclass(frozen=True)
@@ -96,18 +96,26 @@ def piecewise_hazard(breakpoints, rates, t: float) -> float:
 
 
 def km_fit(ds: TrialDataset) -> StepSurvival:
-    """Product-limit estimate over the dataset's risk table."""
-    return km_from_table(build_risk_table(ds))  # raises when there are no events
+    """Product-limit estimate over the dataset's risk table.
+
+    Fitted and validated once per dataset, which keeps it: the same curve
+    on every call.
+    """
+    return ds._km  # raises when there are no events
 
 
-def km_from_table(rt: RiskTable) -> StepSurvival:
-    """Product-limit estimate over a risk table the caller already holds."""
+def _product_limit(ds: TrialDataset) -> StepSurvival:
+    """The fit ``km_fit`` keeps, from the dataset's risk-table columns.
+
+    Its ``jump_times`` are the risk table's ``times``, the same tuple.
+    """
+    times, at_risk, events = ds._risk_columns[:3]
     values = []
     surv = 1.0
-    for d, n in zip(rt.events, rt.at_risk):
+    for d, n in zip(events, at_risk):
         surv *= 1.0 - d / n
         values.append(surv)
-    return StepSurvival(rt.times, tuple(values), rt.source.follow_up)
+    return StepSurvival(times, tuple(values), ds.follow_up)
 
 
 def rmst(curve: SurvivalCurve, tau: float) -> float:
@@ -147,11 +155,16 @@ def piecewise_rmst(breakpoints, rates, tau: float) -> float:
         end = min(cut, tau)
         if end > start:
             dt = end - start
-            if rate == 0.0:
-                total += surv * dt
+            x = rate * dt
+            # the segment's (1 - exp(-x)) / rate, by expm1 so that a small x does not
+            # cancel to 0; below x = 1 as dt times (1 - exp(-x)) / x, which is 1 where
+            # x is 0, so that a rate of 0 or an x that underflows still gives dt
+            if x < 1.0:
+                area = dt * (-math.expm1(-x) / x) if x else dt
             else:
-                total += surv * (1.0 - math.exp(-rate * dt)) / rate
-                surv *= math.exp(-rate * dt)
+                area = -math.expm1(-x) / rate
+            total += surv * area
+            surv *= math.exp(-x)
         if cut >= tau:
             break
         start = cut

@@ -3,11 +3,9 @@
 import csv
 import io
 import math
-from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
 
 CSV_HEADER = ("time", "arm", "event")
 _LABELS = {"0": 0, "1": 1}  # the only arm and event labels, as the ints a Subject holds
@@ -83,24 +81,47 @@ class TrialDataset:
     def _risk_columns(self) -> tuple[tuple, ...]:
         """The columns of ``build_risk_table(self)`` after ``source``, in field order.
 
-        The table itself is not kept: its ``source`` is this dataset.
+        One walk over the subjects sorted by time, a group of equal times at
+        a time: a group with an event adds an event-time column, counted
+        before the group leaves the risk set.  The table itself is not kept:
+        its ``source`` is this dataset.
         """
-        events = Counter(compress(self.times, self.events))
-        if not events:
+        times, arms, events = self.times, self.arms, self.events
+        order = sorted(range(len(times)), key=times.__getitem__)
+        columns = event_times, at_risk, deaths, at_risk1, deaths1 = [], [], [], [], []
+        through = []  # event times at or before each subject, in ``order``
+        left, left1 = len(times), sum(arms)  # at risk at the group's time
+        for t, group in groupby(order, times.__getitem__):
+            size = d = n1 = d1 = 0
+            for k in group:
+                size += 1
+                e = events[k]
+                d += e
+                if arms[k]:
+                    n1 += 1
+                    d1 += e
+            if d:
+                event_times.append(t)
+                at_risk.append(left)
+                deaths.append(d)
+                at_risk1.append(left1)
+                deaths1.append(d1)
+            through.extend(repeat(len(event_times), size))
+            left -= size
+            left1 -= n1
+        if not event_times:
             raise ValueError("no event times: dataset contains only censored subjects")
-        times1 = list(compress(self.times, self.arms))
-        events1 = Counter(compress(times1, compress(self.events, self.arms)))
-        ordered = sorted(self.times)
-        ordered1 = sorted(times1)
-        times = tuple(sorted(events))
-        return (
-            times,
-            tuple(len(ordered) - bisect_left(ordered, t) for t in times),
-            tuple(map(events.__getitem__, times)),
-            tuple(len(ordered1) - bisect_left(ordered1, t) for t in times),
-            tuple(map(events1.__getitem__, times)),
-            tuple(map(bisect_right, repeat(times), self.times)),
-        )
+        intervals = [0] * len(times)
+        for k, j in zip(order, through):
+            intervals[k] = j
+        return (*map(tuple, columns), tuple(intervals))
+
+    @cached_property
+    def _km(self):
+        """The curve ``curves.km_fit(self)`` returns: columns only, nothing pointing back."""
+        from .curves import _product_limit  # curves imports this module
+
+        return _product_limit(self)
 
     @cached_property
     def _arm_split(self) -> tuple["TrialDataset", "TrialDataset"]:

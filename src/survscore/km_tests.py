@@ -8,7 +8,7 @@ divides by zero; such terms are dropped and a warning is attached.
 
 from itertools import accumulate, repeat
 
-from .curves import km_from_table, rmst
+from .curves import km_fit, rmst
 from .dataset import TrialDataset, build_risk_table, split_by_arm
 from .logrank import TestResult
 from .pseudo import EstimandSpec, _curve_functional
@@ -20,7 +20,7 @@ def _arm_fits(ds: TrialDataset, horizon: float, what: str):
     fits = []
     for label, sub in (("arm 0", arm0), ("arm 1", arm1)):
         rt = build_risk_table(sub)
-        curve = km_from_table(rt)
+        curve = km_fit(sub)
         if horizon > curve.follow_up:
             raise ValueError(
                 f"{what} {horizon:g} beyond follow-up {curve.follow_up:g} on {label}"

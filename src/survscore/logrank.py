@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import ClassVar
 
-from .curves import StepSurvival, km_from_table
+from .curves import StepSurvival, km_fit
 from .dataset import RiskTable, TrialDataset, build_risk_table
 
 WEIGHT_KINDS = ("logrank", "fleming_harrington", "modest")
@@ -131,10 +131,17 @@ def normal_cdf(x: float) -> float:
 
 
 def compute_weights(rt: RiskTable, pooled: StepSurvival, spec: WeightSpec) -> tuple[float, ...]:
-    """Weight at each distinct event time, from the pooled-sample curve."""
+    """Weight at each distinct event time, from the pooled-sample curve.
+
+    ``pooled`` must be the table's own fit, ``km_fit(rt.source)``: S(t-) at
+    the j-th event time is then the curve's value after j - 1 jumps, read
+    by index.  A curve that jumps at other times is refused.
+    """
+    if pooled.jump_times != rt.times:
+        raise ValueError("pooled curve does not jump at the risk table's event times")
     if spec.kind == "logrank":
         return (1.0,) * len(rt.times)
-    left = [pooled.left(t) for t in rt.times]
+    left = ((1.0,) + pooled.values)[:-1]
     if spec.kind == "fleming_harrington":
         return tuple(s**spec.rho * (1.0 - s) ** spec.gamma for s in left)  # 0.0**0.0 == 1.0
     return tuple(1.0 / max(s, spec.s_star) for s in left)
@@ -244,7 +251,7 @@ def score_chain(ds: TrialDataset, spec: WeightSpec):
     curve come along for callers that tabulate or test with them.
     """
     rt = build_risk_table(ds)
-    pooled = km_from_table(rt)
+    pooled = km_fit(ds)
     weights = compute_weights(rt, pooled, spec)
     return rt, pooled, compute_scores(rt, weights, spec)
 

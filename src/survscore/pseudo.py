@@ -17,7 +17,7 @@ from .curves import (
     SurvivalCurve,
     fit_piecewise_exponential,
     interval_exposure,
-    km_from_table,
+    km_fit,
     piecewise_hazard,
     piecewise_rmst,
     rmst,
@@ -146,7 +146,10 @@ def _functional(at, integral, spec: EstimandSpec) -> float:
     if spec.kind == "wmst":
         return integral(spec.tau2) - integral(spec.tau1)
     cumulative_incidence = 1.0 - at(spec.tau)
-    ratio = cumulative_incidence / integral(spec.tau)
+    area = integral(spec.tau)
+    if area == 0.0:
+        raise ValueError(f"ahsw undefined: RMST({spec.tau:g}) = 0")
+    ratio = cumulative_incidence / area
     if not spec.log_scale:
         return ratio
     if cumulative_incidence == 0.0:
@@ -288,10 +291,9 @@ def _fit_group(ds: TrialDataset, spec: EstimandSpec):
     The second is a function of the subject's position in ``ds``.
     """
     if spec.backend == "km":
-        rt = build_risk_table(ds)
-        curve = km_from_table(rt)
+        curve = km_fit(ds)
         _check_follow_up(spec, curve.follow_up)
-        return _curve_functional(curve, spec), _km_leave_one_out(rt, spec)
+        return _curve_functional(curve, spec), _km_leave_one_out(build_risk_table(ds), spec)
     cuts = spec.breakpoints if spec.backend == "piecewise" else ()  # exponential: no cuts
     full = fit_piecewise_exponential(ds, cuts)
     return _curve_functional(full, spec), _parametric_leave_one_out(ds, full.breakpoints, spec)

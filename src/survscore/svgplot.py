@@ -16,6 +16,7 @@ writes without loading ``xml``; ``tests/oracles.render_svg`` escapes with the la
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -85,15 +86,20 @@ class PlotPanel:
 
 
 def nice_ceiling(x: float) -> float:
-    """Smallest 'round' number >= x (1/1.5/2/2.5/3/4/5/6/8 times a power of 10)."""
+    """Smallest 'round' number >= x (1/1.5/2/2.5/3/4/5/6/8 times a power of 10).
+
+    Always finite and positive: above 1.5e308 the next round number
+    overflows, so the largest float stands in for it, and below about
+    1e-323 the power of 10 underflows to 0, so x itself does.
+    """
     if x <= 0:
         return 1.0
     exponent = math.floor(math.log10(x))
     base = 10.0**exponent
     for m in (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0):
         if m * base >= x or math.isclose(m * base, x, rel_tol=1e-9):
-            return m * base
-    return 10.0 * base
+            return min(m * base, sys.float_info.max)
+    return x
 
 
 def _escape(text: str, quote: str = "") -> str:
@@ -132,7 +138,7 @@ def _panel_svg(panel: PlotPanel, x_max: float, offset_x: int, offset_y: int,
                f'text-anchor="middle">{_escape(panel.title)}</text>')
 
     for i in range(5):
-        t = x_max * i / 4
+        t = x_max * (i / 4)  # x_max * i would overflow near the largest float
         px = x_to_px(t)
         out.append(f'<line class="tick" x1="{_px(px)}" y1="{bottom}" x2="{_px(px)}" y2="{bottom + 4}"/>')
         out.append(f'<text x="{_px(px)}" y="{bottom + 16}" text-anchor="middle">{t:.6g}</text>')

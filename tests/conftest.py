@@ -2,8 +2,9 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from survscore import Subject, TrialDataset, parse_dataset
+from survscore import Subject, TrialDataset, parse_dataset, split_by_arm
 from survscore.rng import SplitMix64
 
 # Twelve-subject worked example used as the golden fixture throughout.
@@ -22,6 +23,20 @@ time,arm,event
 27.68,1,0
 29.46,1,0
 """
+
+
+# few distinct times, so times tie and subjects are censored exactly at an event time
+tied_rows_st = st.lists(
+    st.tuples(st.sampled_from((1.0, 2.0, 2.5, 4.0)), st.integers(0, 1), st.integers(0, 1)),
+    min_size=1,
+    max_size=12,
+)
+
+
+def datasets_with_events(rows):
+    """The dataset of (time, arm, event) ``rows`` and its two arm subsets, those with an event."""
+    ds = TrialDataset(tuple(Subject(*row) for row in rows))
+    return [d for d in (ds, *split_by_arm(ds)) if d.n_events]
 
 
 @pytest.fixture(scope="session")

@@ -60,6 +60,20 @@ def step_left(steps, t):
     return value
 
 
+def weights_by_bisect(rt, pooled, spec):
+    """Event-time weights from S(t-) looked up by bisect, ``pooled.left(t)``, at each time."""
+    weights = []
+    for t in rt.times:
+        s = pooled.left(t)
+        if spec.kind == "logrank":
+            weights.append(1.0)
+        elif spec.kind == "fleming_harrington":
+            weights.append(s**spec.rho * (1.0 - s) ** spec.gamma)
+        else:
+            weights.append(1.0 / max(s, spec.s_star))
+    return tuple(weights)
+
+
 def step_integral(steps, tau):
     """Direct piece-by-piece integral of a step curve over [0, tau]."""
     total = 0.0
@@ -99,7 +113,14 @@ def parametric_survival(rates, cuts, t):
 
 
 def parametric_integral(rates, cuts, tau):
-    """Integral of exp(-H) over [0, tau], segment by segment from S(lo)."""
+    """Integral of exp(-H) over [0, tau], segment by segment from S(lo).
+
+    A segment of width w at rate r adds S(lo) * w * g(r * w), with
+    g(x) = (1 - exp(-x)) / x.  For x <= 1, g is summed as its series
+    sum_k (-x)^k / (k + 1)!, so a small rate does not cancel to 0 (as
+    1 - exp(-x) does below about 1e-16); past 1 the closed form has no
+    cancellation to speak of.
+    """
     edges = [0.0, *cuts, math.inf]
     total = 0.0
     for rate, (lo, hi) in zip(rates, zip(edges, edges[1:])):
@@ -107,10 +128,12 @@ def parametric_integral(rates, cuts, tau):
             break
         width = min(tau, hi) - lo
         s_lo = parametric_survival(rates, cuts, lo)
-        if rate == 0.0:
-            total += s_lo * width
+        x = rate * width
+        if x <= 1.0:
+            g = sum((-x) ** k / math.factorial(k + 1) for k in range(20))
         else:
-            total += s_lo * (1.0 - math.exp(-rate * width)) / rate
+            g = (1.0 - math.exp(-x)) / x
+        total += s_lo * width * g
     return total
 
 

@@ -18,14 +18,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from survscore import (
-    EstimandSpec, WeightSpec, parse_dataset, standardize, standardize_pseudo, wlrt_test,
+    EstimandSpec, WeightSpec, km_fit, parse_dataset, split_by_arm, standardize,
+    standardize_pseudo, wlrt_test,
 )
 from survscore.cli import (
     KM_TEST_KEYS, METHOD_KEYS, OPTIONS, _flag_spec, _tabulate, build_parser, main,
     parse_method_spec,
 )
+from survscore.curves import _product_limit
 from tests import oracles
-from tests.conftest import TOY_CSV, load_script, simulated_trial_csv
+from tests.conftest import TOY_CSV, load_script, simulated_trial_csv, tied_rows_st
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENT = load_script("method_comparison_experiment")
@@ -669,6 +671,78 @@ def test_cli_contract_at_overflowing_horizons(argv, tmp_path):
     one = tmp_path / "one.csv"
     one.write_text(ONE_EARLY_EVENT_CSV, encoding="utf-8")
     assert _assert_contract(argv + ["--input", str(one)]) == 1
+
+
+# arm 1's exponential rate is 3 events over about 1e300 months of follow-up, about 3e-300
+TINY_RATE_CSV = "time,arm,event\n2,1,1\n0.5,1,1\n1e300,1,1\n1,0,1\n3,0,1\n"
+
+
+def test_exp_rmst_at_a_tiny_rate_is_not_zero(tmp_path, capsys):
+    path = tmp_path / "tiny.csv"
+    path.write_text(TINY_RATE_CSV, encoding="utf-8")
+    assert run("pseudo", "--estimand", "rmst", "--tau", "1", "--backend", "exp",
+               "--input", str(path)) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    # without subject 0 or 1, arm 1 keeps a rate near 2e-300: S is 1 on [0, 1]
+    assert [float(row["loo_estimate"]) for row in rows[:2]] == [1.0, 1.0]
+
+
+def test_ahsw_at_a_tiny_rate_is_one_error_line(tmp_path):
+    path = tmp_path / "tiny.csv"
+    path.write_text(TINY_RATE_CSV, encoding="utf-8")
+    argv = ["pseudo", "--estimand", "ahsw", "--tau", "1", "--backend", "exp", "--input", str(path)]
+    assert _assert_contract(argv) == 1  # arm 1's S(1) is 1.0: no log of 0
+    assert _assert_contract([*argv, "--ahsw-scale", "ratio"]) == 0
+
+
+@pytest.mark.parametrize("scale", ["log", "ratio"])
+def test_ahsw_zero_integral_is_one_error_line(scale, toy_csv_path, monkeypatch):
+    for module in ("curves", "pseudo"):
+        monkeypatch.setattr(f"survscore.{module}.piecewise_rmst", lambda *args: 0.0)
+    argv = ["test", "--method", "pseudo", "--estimand", "ahsw", "--tau", "18", "--backend", "exp",
+            "--ahsw-scale", scale, "--input", str(toy_csv_path)]
+    assert _assert_contract(argv) == 1
+
+
+@pytest.mark.parametrize("rows", [
+    "1,0,1\n2,0,1\n3,1,1\n4,1,0\n1.7976931348623157e308,0,0\n",  # next round number: inf
+    "5e-324,0,1\n5e-324,1,1\n5e-324,0,0\n5e-324,1,0\n5e-324,1,1\n",  # power of 10: 0
+])
+def test_svg_axis_at_the_float_range_ends_prints_no_inf_or_nan(rows, tmp_path):
+    path = tmp_path / "ends.csv"
+    path.write_text("time,arm,event\n" + rows, encoding="utf-8")
+    out = tmp_path / "plot.svg"
+    argv = ["plot", "--spec", "logrank", "--input", str(path), "--output", str(out)]
+    assert _assert_contract(argv, (out, out.with_suffix(".csv"))) == 0
+    assert not re.search(r"\b(nan|inf)\b", out.read_text(encoding="utf-8"), re.IGNORECASE)
+
+
+@given(rows=tied_rows_st)
+@example(rows=[(2.0, 0, 1), (2.0, 1, 0), (2.0, 1, 1), (1.0, 0, 0), (4.0, 1, 0)])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_scores_survival_column_is_the_left_limit(rows, tmp_path, monkeypatch):
+    path = tmp_path / "tied.csv"
+    path.write_text("time,arm,event\n" + "".join(f"{t},{a},{e}\n" for t, a, e in rows),
+                    encoding="utf-8")
+    tables = []
+    monkeypatch.setattr("survscore.cli._tabulate", lambda columns, fmt: tables.append(columns) or "")
+    if run("scores", "--input", str(path)) != 0:
+        return  # no event, or all scores equal: nothing is tabulated
+    pooled = km_fit(parse_dataset(path.read_text(encoding="utf-8")))
+    (columns,) = tables
+    assert columns["survival"] == [pooled.left(t) for t in columns["time"]]
+
+
+def test_one_km_fit_per_dataset_across_subcommands(toy_csv_path, capsys, monkeypatch):
+    fits = []
+    monkeypatch.setattr("survscore.curves._product_limit",
+                        lambda ds: fits.append(ds) or _product_limit(ds))
+    parse_dataset.cache_clear()
+    for argv in SCORE_CALLS:
+        assert run(*argv, "--input", str(toy_csv_path)) == 0
+    ds = parse_dataset(TOY_CSV)
+    assert sorted(map(id, fits)) == sorted(map(id, (ds, *split_by_arm(ds))))
 
 
 def test_cli_field_over_csv_limit_is_single_line_error(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survscore import (
@@ -9,6 +9,7 @@ from survscore import (
     StepSurvival,
     Subject,
     TrialDataset,
+    build_risk_table,
     fit_exponential,
     fit_piecewise_exponential,
     km_fit,
@@ -16,7 +17,7 @@ from survscore import (
     split_by_arm,
 )
 from tests import oracles
-from tests.conftest import random_dataset
+from tests.conftest import datasets_with_events, random_dataset, tied_rows_st
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,20 @@ def test_km_product_identity_on_random_data():
         assert curve.jump_times == tuple(t for t, _ in steps)
         for (t, v), got in zip(steps, curve.values):
             assert got == pytest.approx(v, abs=1e-12)
+
+
+@given(tied_rows_st)
+@settings(max_examples=60, deadline=None)
+def test_km_fit_is_kept_per_dataset(rows):
+    for ds in datasets_with_events(rows):  # the trial and each arm alone: a curve each
+        curve = km_fit(ds)
+        assert km_fit(ds) is curve
+        assert curve.jump_times is build_risk_table(ds).times
+        steps = oracles.km_steps(zip(ds.times, ds.events))
+        assert curve.jump_times == tuple(t for t, _ in steps)
+        assert curve.values == pytest.approx([v for _, v in steps], abs=1e-12)
+        assert curve.follow_up == max(ds.times)
+        assert all(km_fit(sub) is not curve for sub in split_by_arm(ds) if sub.n_events)
 
 
 def test_rmst_toy_arms(toy):
@@ -160,6 +175,9 @@ rates_st = st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_siz
 
 
 @given(rates_st, st.floats(min_value=0.01, max_value=40.0))
+@example([1e-17], 1.0)  # 1 - exp(-1e-17) is 0.0: the integral must still be 1
+@example([5e-324], 0.5)  # rate * t underflows to 0.0: still 0.5
+@example([1.0, 5e-324], 3.0)  # S(2) * 5e-324 underflows: the last segment still adds S(2)
 @settings(max_examples=60, deadline=None)
 def test_parametric_cumhaz_and_monotonicity(rates, t):
     cuts = tuple(2.0 * (i + 1) for i in range(len(rates) - 1))

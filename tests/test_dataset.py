@@ -15,13 +15,15 @@ from survscore import (
     WeightSpec,
     build_risk_table,
     inject_censoring,
+    km_fit,
+    milestone_test,
     parse_dataset,
     rmst_test,
     split_by_arm,
 )
 from survscore.rng import SplitMix64
 from tests import oracles
-from tests.conftest import TOY_CSV
+from tests.conftest import TOY_CSV, tied_rows_st
 
 rows_st = st.lists(
     st.tuples(
@@ -300,7 +302,9 @@ def test_no_reference_cycle_through_a_dataset():
         parse_dataset.cache_clear()
         ds = parse_dataset(TOY_CSV)
         WeightSpec.logrank().test(ds)
+        km_fit(ds)
         rmst_test(ds, 18.0)
+        milestone_test(ds, 18.0)
         EstimandSpec("rmst", tau=18.0).test(ds)
         split_by_arm(ds)
         ref = weakref.ref(ds)
@@ -310,14 +314,6 @@ def test_no_reference_cycle_through_a_dataset():
         assert ref() is None
     finally:
         gc.enable()
-
-
-# few distinct times, so times tie and subjects are censored exactly at an event time
-tied_rows_st = st.lists(
-    st.tuples(st.sampled_from((1.0, 2.0, 2.5, 4.0)), st.integers(0, 1), st.integers(0, 1)),
-    min_size=1,
-    max_size=12,
-)
 
 
 @given(tied_rows_st)

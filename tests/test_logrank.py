@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survscore import logrank
@@ -16,11 +16,15 @@ from survscore import (
     km_fit,
     mean_score_diff,
     perm_moments,
+    split_by_arm,
     standardize,
     u_and_v,
     wlrt_test,
 )
-from tests.conftest import random_dataset, random_untied_dataset
+from tests import oracles
+from tests.conftest import (
+    datasets_with_events, random_dataset, random_untied_dataset, tied_rows_st,
+)
 
 ALL_SPECS = [
     WeightSpec.logrank(),
@@ -62,6 +66,24 @@ def test_weights_toy(toy_parts):
     modest = compute_weights(rt, pooled, WeightSpec.modest(0.5))
     assert modest[-1] == pytest.approx(2.0, abs=1e-12)
     assert modest[0] == 1.0
+
+
+@given(tied_rows_st)
+@example([(2.0, 0, 1), (2.0, 1, 0), (2.0, 1, 1), (1.0, 0, 0), (4.0, 1, 0)])
+@settings(max_examples=80, deadline=None)
+def test_weights_read_left_limits_by_index(rows):
+    for ds in datasets_with_events(rows):  # the trial and each arm alone
+        rt, pooled = build_risk_table(ds), km_fit(ds)
+        for spec in ALL_SPECS:
+            assert compute_weights(rt, pooled, spec) == oracles.weights_by_bisect(rt, pooled, spec)
+
+
+def test_weights_refuse_a_curve_from_another_dataset(toy_parts):
+    toy, rt, _ = toy_parts
+    for sub in split_by_arm(toy):
+        for spec in ALL_SPECS:
+            with pytest.raises(ValueError, match="event times"):
+                compute_weights(rt, km_fit(sub), spec)
 
 
 def test_u_toy_logrank_matches_score_sum(toy_parts):

@@ -15,6 +15,7 @@ from survscore import (
     pseudo_values,
     standardize_pseudo,
 )
+from survscore.pseudo import _functional
 from tests import oracles
 from tests.conftest import pseudo_friendly_dataset
 
@@ -139,6 +140,13 @@ def test_ahsw_log_of_zero_named():
         ds, EstimandSpec(kind="ahsw", tau=8.0, backend="km", pooling="arm", log_scale=False)
     )
     assert len(ratio.values) == ds.n
+
+
+@pytest.mark.parametrize("log_scale", [True, False])
+def test_ahsw_refuses_a_zero_integral(log_scale):
+    spec = EstimandSpec(kind="ahsw", tau=2.0, log_scale=log_scale)
+    with pytest.raises(ValueError, match="ahsw undefined: RMST\\(2\\) = 0"):
+        _functional(lambda h: 0.5, lambda h: 0.0, spec)
 
 
 def test_standardize_pseudo_orientation(toy):

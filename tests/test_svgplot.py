@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -220,3 +221,11 @@ def test_nice_ceiling():
     assert nice_ceiling(10.0) == 10.0
     assert nice_ceiling(0.7) == 0.8
     assert nice_ceiling(-1.0) == 1.0
+
+
+@pytest.mark.parametrize("x", [1.2e308, 1.5e308, 1.6e308, 1.7976931348623157e308,
+                               5e-324, 1e-323, 2.5e-323, 1e-310])
+def test_nice_ceiling_is_finite_and_covers_x_at_the_float_range_ends(x):
+    # past 1.5e308 the next round number is inf, below ~1e-323 the power of 10 is 0
+    ceiling = nice_ceiling(x)
+    assert x <= ceiling < math.inf
