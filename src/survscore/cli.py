@@ -24,7 +24,7 @@ from .dataset import TrialDataset, parse_dataset, split_by_arm
 from .km_tests import milestone_test, rmst_test
 from .logrank import WeightSpec, score_chain, standardize
 from .permutation import EXACT_HALF_SUMS_LIMIT, exact_perm_p, mc_perm_p
-from .pseudo import ESTIMAND_KINDS, EstimandSpec, pseudo_values, standardize_pseudo
+from .pseudo import EstimandSpec, pseudo_values, standardize_pseudo
 from .svgplot import PlotPanel, render_svg
 
 def _jsonable(x):
@@ -123,22 +123,48 @@ OPTIONS = {  # spec key -> (flag, parser of its text: function or dict of choice
             "compare ahsw on the log scale or as a ratio"),
 }
 FIT_KEYS = ("backend", "breakpoints", "pooling")
-METHOD_KEYS = {  # method name -> the options its spec reads
-    "logrank": (),
-    "fh": ("rho", "gamma"),
-    "mw": ("sstar",),
-    "rmst": ("tau", *FIT_KEYS),
-    "milestone": ("kappa", *FIT_KEYS),
-    "wmst": ("tau1", "tau2", *FIT_KEYS),
-    "ahsw": ("tau", "log", *FIT_KEYS),
+
+
+# name -> (the OPTIONS keys its spec reads, its spec builder taking their values, the choice
+# flags that list it, its closed-form test route: (spec, ds) -> result and the keys it reads).
+# Other test --method words test a spec by scores or pseudo-values: pseudo, which names no spec,
+# the --estimand spec.  Rows call the library by global name, so a wrapper bound there is called.
+METHODS = {
+    "rmst": (("tau", *FIT_KEYS), lambda **v: EstimandSpec("rmst", **v), ("method", "estimand"),
+             (lambda s, ds: rmst_test(ds, s.tau), ("tau",))),
+    "milestone": (("kappa", *FIT_KEYS), lambda **v: EstimandSpec("milestone", **v),
+                  ("method", "estimand"), (lambda s, ds: milestone_test(ds, s.kappa), ("kappa",))),
+    "wmst": (("tau1", "tau2", *FIT_KEYS), lambda **v: EstimandSpec("wmst", **v),
+             ("estimand",), None),
+    "ahsw": (("tau", "log", *FIT_KEYS), lambda log, **v: EstimandSpec("ahsw", log_scale=log, **v),
+             ("estimand",), None),
+    "logrank": ((), lambda: WeightSpec.logrank(), ("test", "method"), None),
+    "fh": (("rho", "gamma"), lambda rho, gamma: WeightSpec.fleming_harrington(rho, gamma),
+           ("test", "method"), None),
+    "mw": (("sstar",), lambda sstar: WeightSpec.modest(sstar), ("test", "method"), None),
+    "pseudo": ((), None, ("method",), None),
 }
-KM_TEST_KEYS = {"rmst": ("tau",), "milestone": ("kappa",)}  # the closed-form KM tests fit nothing
+
+
+def _exact_perm(result, ds, args) -> dict:
+    p = exact_perm_p(result.per_subject.values, ds.arms, result.benefit)
+    return {"mode": "exact", "direction": result.benefit,
+            "assignments": math.comb(ds.n, ds.n_arm1), "p": _jsonable(p)}
+
+
+def _mc_perm(result, ds, args) -> dict:
+    replicates = 10_000 if args.replicates is None else args.replicates
+    mc = mc_perm_p(result.per_subject.values, ds.arms, replicates, args.seed or 0, result.benefit)
+    return {"mode": "monte_carlo", "direction": result.benefit, "replicates": mc.replicates,
+            "seed": mc.seed, "p": _jsonable(mc.p), "std_error": _jsonable(mc.std_error)}
+
+
+PERM_MODES = {"exact": _exact_perm, "mc": _mc_perm}  # --perm word -> its JSON object
 CHOICES = {  # dest -> (flag, its words), for the choice flags that are not OPTIONS rows
     "format": ("--format", ("csv", "json")),
-    "test": ("--test", ("logrank", "fh", "mw")),
-    "method": ("--method", ("rmst", "milestone", "logrank", "fh", "mw", "pseudo")),
-    "estimand": ("--estimand", ESTIMAND_KINDS),
-    "perm": ("--perm", ("exact", "mc")),
+    **{dest: (f"--{dest}", tuple(name for name, (_, _, lists, _) in METHODS.items()
+                                 if dest in lists)) for dest in ("test", "method", "estimand")},
+    "perm": ("--perm", tuple(PERM_MODES)),
 }
 
 
@@ -147,12 +173,13 @@ def _method_spec(name: str, texts: dict, spell=str, where: str = "", reads=None)
 
     ``texts`` holds the text of each option the user gave, keyed as in
     ``OPTIONS``; an absent one takes its default text.  A key outside
-    ``reads`` (default: ``METHOD_KEYS[name]``), a read key with neither
-    text nor default, a text its parser refuses, breakpoints without pwexp
-    or a spec its constructor refuses is refused: the message starts with
-    ``where`` and names each key as ``spell`` writes it.
+    ``reads`` (default: all its ``METHODS`` row reads), a read key with
+    neither text nor default, a text its parser refuses, breakpoints
+    without pwexp or a spec its builder refuses is refused: the message
+    starts with ``where`` and names each key as ``spell`` writes it.
     """
-    reads = METHOD_KEYS[name] if reads is None else reads
+    keys, build, _, _ = METHODS[name]
+    reads = keys if reads is None else reads
     unread = sorted(spell(key) for key in texts if key not in reads)
     if unread:
         raise ValueError(f"{where}unknown keys for {name}: {', '.join(unread)}")
@@ -170,13 +197,7 @@ def _method_spec(name: str, texts: dict, spell=str, where: str = "", reads=None)
     if "breakpoints" in texts and values["backend"] != "piecewise":
         raise ValueError(f"{where}{spell('breakpoints')}: read only with {spell('backend')} pwexp")
     try:
-        if name == "logrank":
-            return WeightSpec.logrank()
-        if name == "fh":
-            return WeightSpec.fleming_harrington(values["rho"], values["gamma"])
-        if name == "mw":
-            return WeightSpec.modest(values["sstar"])
-        return EstimandSpec(name, log_scale=values.pop("log", True), **values)
+        return build(**values)
     except ValueError as exc:
         raise ValueError(f"{where}{exc}") from None
 
@@ -197,9 +218,11 @@ def parse_method_spec(text: str):
     """
     name, _, rest = text.partition(":")
     name = name.strip()
-    # diagnostics print no NaN (a value no option admits), so a spec holding one goes by its method
-    where = f"bad method spec {name if 'nan' in text.lower() else repr(text)}: "
-    if name not in METHOD_KEYS:
+    # no diagnostic prints NaN (no option admits it): a spec with a NaN value goes by its method
+    words = ":".join(pair.partition("=")[2] for pair in rest.split(",")).lower().split(":")
+    nan = any(word.strip() in ("nan", "+nan", "-nan") for word in words)
+    where = f"bad method spec {name if nan else repr(text)}: "
+    if METHODS.get(name, (None, None))[1] is None:  # pseudo names a test route, not a spec
         raise ValueError(f"{where}unknown method {name!r}")
     texts = {}
     for pair in rest.split(",") if rest else ():
@@ -234,7 +257,7 @@ def cmd_scores(args) -> int:
     ds = _load(args)
     rt, pooled, scores = score_chain(ds, spec)
     scaled = standardize(scores)
-    order = sorted(range(ds.n), key=ds.times.__getitem__)
+    order = ds.time_order
     columns = {key: [column[k] for k in order] for key, column in _subject_columns(ds).items()}
     # the number j of event times <= t, which is >= 1 for an event, indexes its weight;
     # S(t-) is the curve after j - 1 jumps when t is the j-th event time, else after j
@@ -262,57 +285,27 @@ def cmd_pseudo(args) -> int:
 
 
 def cmd_test(args) -> int:
-    if (args.method == "pseudo") != (args.estimand is not None):
+    _, build, _, route = METHODS[args.method]
+    closed_form, reads = route or (None, None)
+    if (build is None) != (args.estimand is not None):
         raise ValueError("--estimand is required with --method pseudo and refused without it")
     mc_only = [f"--{key}" for key in ("replicates", "seed") if getattr(args, key) is not None]
     if mc_only and args.perm != "mc":
         raise ValueError(f"{', '.join(mc_only)}: read only with --perm mc")
-    spec = _flag_spec(args.estimand or args.method, args, KM_TEST_KEYS.get(args.method))
+    spec = _flag_spec(args.estimand or args.method, args, reads)
     ds = _load(args)
-    # rmst and milestone are the closed-form KM tests; an EstimandSpec tests by pseudo-values
-    if args.method == "rmst":
-        result = rmst_test(ds, spec.tau)
-    elif args.method == "milestone":
-        result = milestone_test(ds, spec.kappa)
-    else:
-        result = spec.test(ds)
+    result = closed_form(spec, ds) if closed_form else spec.test(ds)
     if args.flip_direction:
         result = replace(result, benefit="upper" if result.benefit == "lower" else "lower")
 
-    payload = {
-        "method": result.method,
-        "statistic": _jsonable(result.statistic),
-        "variance": _jsonable(result.variance),
-        "z": _jsonable(result.z),
-        "p_one_sided": _jsonable(result.p_one_sided),
-        "warnings": list(result.warnings),
-    }
+    payload = {"method": result.method, "statistic": _jsonable(result.statistic),
+               "variance": _jsonable(result.variance), "z": _jsonable(result.z),
+               "p_one_sided": _jsonable(result.p_one_sided), "warnings": list(result.warnings)}
     if args.perm:
         if result.per_subject is None:
-            raise ValueError(
-                "permutation inference needs per-subject values; "
-                "use a score method or --method pseudo"
-            )
-        values = result.per_subject.values
-        if args.perm == "exact":
-            p = exact_perm_p(values, ds.arms, result.benefit)
-            payload["permutation"] = {
-                "mode": "exact",
-                "direction": result.benefit,
-                "assignments": math.comb(ds.n, ds.n_arm1),
-                "p": _jsonable(p),
-            }
-        else:
-            replicates = 10_000 if args.replicates is None else args.replicates
-            mc = mc_perm_p(values, ds.arms, replicates, args.seed or 0, result.benefit)
-            payload["permutation"] = {
-                "mode": "monte_carlo",
-                "direction": result.benefit,
-                "replicates": mc.replicates,
-                "seed": mc.seed,
-                "p": _jsonable(mc.p),
-                "std_error": _jsonable(mc.std_error),
-            }
+            raise ValueError("permutation inference needs per-subject values; "
+                             "use a score method or --method pseudo")
+        payload["permutation"] = PERM_MODES[args.perm](result, ds, args)
     _emit(json.dumps(payload, indent=2) + "\n", args)
     return 0
 
@@ -350,9 +343,10 @@ def _listed(words) -> str:
     return "{" + ",".join(words) + "}"
 
 
-def _add_method_flags(parser, methods) -> None:
-    """One flag per ``OPTIONS`` row that one of ``methods`` reads, in table order."""
-    read = {key for name in methods for key in METHOD_KEYS[name]}
+def _add_method_flags(parser, *dests) -> None:
+    """In ``OPTIONS`` order, a flag per key read by a method that a ``dests`` flag lists."""
+    read = {key for keys, _, lists, _ in METHODS.values() if set(lists) & set(dests)
+            for key in keys}
     for key, (flag, parse, default, text) in OPTIONS.items():
         if key in read:
             metavar = _listed(parse) if isinstance(parse, dict) else None
@@ -393,19 +387,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scores", parents=[common, tabular],
                        help="weighted log-rank scores per subject")
     _add_choice_flag(p, "test", default="logrank", help="weight function (default: logrank)")
-    _add_method_flags(p, ("fh", "mw"))
+    _add_method_flags(p, "test")
     p.set_defaults(func=cmd_scores)
 
     p = sub.add_parser("pseudo", parents=[common, tabular],
                        help="jackknife pseudo-values per subject")
     _add_choice_flag(p, "estimand", required=True)
-    _add_method_flags(p, ESTIMAND_KINDS)
+    _add_method_flags(p, "estimand")
     p.set_defaults(func=cmd_pseudo)
 
     p = sub.add_parser("test", parents=[common], help="run a test, result as JSON")
     _add_choice_flag(p, "method", required=True)
     _add_choice_flag(p, "estimand")
-    _add_method_flags(p, METHOD_KEYS)
+    _add_method_flags(p, "method", "estimand")
     _add_choice_flag(p, "perm",
                      help=f"add a permutation p-value (exact up to {EXACT_HALF_SUMS_LIMIT} "
                           "half-subset sums: balanced arms up to n = 40)")

@@ -41,10 +41,11 @@ class TrialDataset:
     Immutable; order is meaningful.  ``times``, ``arms`` and ``events``
     hold, in dataset order, the same objects the subjects do, and
     ``subjects`` gives the same rows as ``Subject`` records.  What is
-    derived from the rows (``subjects``, the risk-table columns, the arm
-    split) is computed on first use and kept in the instance ``__dict__``;
-    none of it points back at the dataset, so dropping the last reference
-    frees it at once, without the cycle collector.
+    derived from the rows (``subjects``, the time order, the risk-table
+    columns, the arm split) is computed on first use and kept in the
+    instance ``__dict__``; none of it points back at the dataset, so
+    dropping the last reference frees it at once, without the cycle
+    collector.
     """
 
     times: tuple[float, ...]
@@ -78,6 +79,11 @@ class TrialDataset:
         return tuple(map(Subject, self.times, self.arms, self.events))
 
     @cached_property
+    def time_order(self) -> tuple[int, ...]:
+        """The subject indices in ascending time, tied subjects in dataset order."""
+        return tuple(sorted(range(len(self.times)), key=self.times.__getitem__))
+
+    @cached_property
     def _risk_columns(self) -> tuple[tuple, ...]:
         """The columns of ``build_risk_table(self)`` after ``source``, in field order.
 
@@ -86,8 +92,7 @@ class TrialDataset:
         before the group leaves the risk set.  The table itself is not kept:
         its ``source`` is this dataset.
         """
-        times, arms, events = self.times, self.arms, self.events
-        order = sorted(range(len(times)), key=times.__getitem__)
+        times, arms, events, order = self.times, self.arms, self.events, self.time_order
         columns = event_times, at_risk, deaths, at_risk1, deaths1 = [], [], [], [], []
         through = []  # event times at or before each subject, in ``order``
         left, left1 = len(times), sum(arms)  # at risk at the group's time

@@ -22,9 +22,11 @@ from survscore import (
     standardize_pseudo, wlrt_test,
 )
 from survscore.cli import (
-    KM_TEST_KEYS, METHOD_KEYS, OPTIONS, _flag_spec, _tabulate, build_parser, main,
+    CHOICES, METHODS, OPTIONS, PERM_MODES, _flag_spec, _tabulate, build_parser, main,
     parse_method_spec,
 )
+from survscore.logrank import WEIGHT_KINDS
+from survscore.pseudo import ESTIMAND_KINDS
 from survscore.curves import _product_limit
 from tests import oracles
 from tests.conftest import TOY_CSV, load_script, simulated_trial_csv, tied_rows_st
@@ -33,6 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENT = load_script("method_comparison_experiment")
 
 SVG_NS = {"svg": "http://www.w3.org/2000/svg"}
+SPEC_KEYS = {name: keys for name, (keys, build, _, _) in METHODS.items() if build}
 
 
 def run(*argv):
@@ -422,17 +425,24 @@ def _specs_both_ways(name, keys):
     return from_flags, parse_method_spec(f"{name}:{text}" if text else name)
 
 
-@pytest.mark.parametrize("name", sorted(METHOD_KEYS))
+@pytest.mark.parametrize("name", sorted(SPEC_KEYS))
 def test_flag_and_spec_spellings_give_one_spec(name):
-    required = [key for key in METHOD_KEYS[name] if OPTIONS[key][2] is None]
+    required = [key for key in SPEC_KEYS[name] if OPTIONS[key][2] is None]
     from_flags, base = _specs_both_ways(name, required)
     assert from_flags == base
-    for key in METHOD_KEYS[name]:
+    for key in SPEC_KEYS[name]:
         if key not in required:
             # breakpoints are read only with backend pwexp
             keys = [*required, "backend", key] if key == "breakpoints" else [*required, key]
             from_flags, from_spec = _specs_both_ways(name, keys)
             assert from_flags == from_spec != base  # each sample text differs from the default
+
+
+def test_method_table_lists_the_library_kinds():
+    assert CHOICES["estimand"][1] == ESTIMAND_KINDS
+    specs = [f"{name}:" + ",".join(f"{key}={SAMPLE_TEXTS[key][1]}" for key in SPEC_KEYS[name])
+             for name in CHOICES["test"][1]]
+    assert sorted(parse_method_spec(spec).kind for spec in specs) == sorted(WEIGHT_KINDS)
 
 
 def test_non_numeric_number_flag_is_one_line_error(toy_csv_path, capsys):
@@ -493,6 +503,25 @@ def test_spec_log_key_reads_only_on_or_off(word):
     (["plot", "--spec", "wmst:tau1=6"], "bad method spec 'wmst:tau1=6': wmst requires tau2"),
 ])
 def test_bad_spec_names_its_spec_text(argv, message, toy_csv_path, tmp_path, capsys):
+    out = tmp_path / "out.svg"
+    assert run(*argv, "--input", str(toy_csv_path), "--output", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--spec", "banana", "--spec", "logrank"],
+     "bad method spec 'banana': unknown method 'banana'"),
+    (["plot", "--spec", "mw:sstar=0.5,nanny=1"],
+     "bad method spec 'mw:sstar=0.5,nanny=1': unknown keys for mw: nanny"),
+    (["plot", "--spec", "rmst:tau=nan"],
+     "bad method spec rmst: rmst needs a finite positive horizon tau"),
+    (["plot", "--spec", "fh:rho=-nan"], "bad method spec fh: rho must be finite and nonnegative"),
+    (["plot", "--spec", "rmst:tau=9,backend=pwexp,breakpoints=1:NaN"],
+     "bad method spec rmst: breakpoints must be finite"),
+], ids=["banana", "nanny", "tau-nan", "rho-minus-nan", "breakpoint-nan"])
+def test_spec_text_is_dropped_only_for_a_nan_value(argv, message, toy_csv_path, tmp_path, capsys):
+    """A spec is quoted unless a value in it reads as a NaN float, which no diagnostic prints."""
     out = tmp_path / "out.svg"
     assert run(*argv, "--input", str(toy_csv_path), "--output", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -579,8 +608,8 @@ def _method_flags(draw, own, strays):
 @st.composite
 def _pseudo_argv(draw):
     estimand = draw(st.sampled_from(ESTIMANDS))
-    strays = [key for name in ESTIMANDS for key in METHOD_KEYS[name]]
-    return ["pseudo", "--estimand", estimand, *_method_flags(draw, METHOD_KEYS[estimand], strays)]
+    strays = [key for name in ESTIMANDS for key in SPEC_KEYS[name]]
+    return ["pseudo", "--estimand", estimand, *_method_flags(draw, SPEC_KEYS[estimand], strays)]
 
 
 @st.composite
@@ -590,9 +619,10 @@ def _test_argv(draw):
     if method == "pseudo":
         estimand = draw(st.sampled_from(ESTIMANDS))
         argv += ["--estimand", estimand]
-        own = METHOD_KEYS[estimand]
+        own = SPEC_KEYS[estimand]
     else:
-        own = KM_TEST_KEYS.get(method, METHOD_KEYS[method])
+        route = METHODS[method][3]  # a closed-form test reads only its own keys
+        own = SPEC_KEYS[method] if route is None else route[1]
     argv += _method_flags(draw, own, OPTION_VALUES)
     if draw(st.booleans()):
         argv += ["--perm", "mc", "--replicates", "50"]
@@ -715,6 +745,68 @@ def test_svg_axis_at_the_float_range_ends_prints_no_inf_or_nan(rows, tmp_path):
     argv = ["plot", "--spec", "logrank", "--input", str(path), "--output", str(out)]
     assert _assert_contract(argv, (out, out.with_suffix(".csv"))) == 0
     assert not re.search(r"\b(nan|inf)\b", out.read_text(encoding="utf-8"), re.IGNORECASE)
+
+
+def _contract_argvs():
+    """One small argv per METHODS row (its table and its panel), per test --method route and
+    per --perm mode, each key without a default given its SAMPLE_TEXTS text; and km, censor."""
+    argvs = [["km"], ["censor"]]
+    for name, (keys, build, lists, route) in METHODS.items():
+        reads = keys if route is None else route[1]
+        needed = [key for key in reads if OPTIONS[key][2] is None]
+        flags = [text for key in needed for text in (OPTIONS[key][0], SAMPLE_TEXTS[key][0])]
+        if "test" in lists:
+            argvs.append(["scores", "--test", name, *flags])
+        if "estimand" in lists:
+            argvs.append(["pseudo", "--estimand", name, *flags, "--backend", "exp"])
+        if build:
+            pairs = ",".join(f"{key}={SAMPLE_TEXTS[key][1]}" for key in needed)
+            argvs.append(["plot", "--spec", f"{name}:{pairs}" if pairs else name, "--output", OUT])
+        if "method" in lists:
+            estimand = [] if build else ["--estimand", "ahsw", "--tau", "9", "--backend", "exp"]
+            argvs.append(["test", "--method", name, *flags, *estimand])
+    for mode in PERM_MODES:
+        replicates = ["--replicates", "20"] if mode == "mc" else []
+        argvs.append(["test", "--method", "mw", "--sstar", "0.5", "--perm", mode, *replicates])
+    return argvs
+
+
+CONTRACT_ARGVS = _contract_argvs()
+# Times over the whole positive float range; drawing from a few of them makes ties.
+CSV_TIMES = [5e-324, 1e-300, 1e-10, 0.5, 1.0, 2.5, 6.0, 9.0, 12.0, 30.0, 1e16, 1e300,
+             sys.float_info.max]
+
+
+@st.composite
+def _trial_csv_texts(draw):
+    """1-12 rows over at most six times; now and then one arm or no event, a BOM or CRLF."""
+    times = draw(st.lists(st.sampled_from(CSV_TIMES), min_size=1, max_size=6, unique=True))
+    arms = draw(st.sampled_from([(0, 1), (0, 1), (0, 1), (0,), (1,)]))
+    events = draw(st.sampled_from([(0, 1), (0, 1), (1,), (0,)]))
+    size = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, (times, arms, events))),
+                         min_size=size, max_size=size))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = ["time,arm,event", *(f"{t!r},{a},{e}" for t, a, e in rows)]
+    return draw(st.sampled_from(["", "\ufeff"])) + newline.join(lines) + newline
+
+
+@given(text=_trial_csv_texts())
+@example(text=TINY_RATE_CSV)
+@example(text="time,arm,event\n1,0,1\n2,0,1\n3,1,1\n4,1,0\n1.7976931348623157e308,0,0\n")
+@example(text="time,arm,event\n5e-324,0,1\n5e-324,1,1\n5e-324,0,0\n5e-324,1,0\n5e-324,1,1\n")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_contract_on_any_trial_csv(text, tmp_path):
+    """Any trial CSV text, through every method, route and --perm mode: the CLI contract holds."""
+    path = tmp_path / "trial.csv"
+    path.write_bytes(text.encode("utf-8"))
+    out = tmp_path / "panel.svg"
+    for argv in CONTRACT_ARGVS:
+        for stale in (out, out.with_suffix(".csv")):
+            stale.unlink(missing_ok=True)
+        argv = [str(out) if arg == OUT else arg for arg in argv] + ["--input", str(path)]
+        _assert_contract(argv, (out, out.with_suffix(".csv")))
 
 
 @given(rows=tied_rows_st)
@@ -869,6 +961,38 @@ def test_output_bytes_match_golden(name, toy_csv_path, tmp_path, capsys, monkeyp
         if path != toy_csv_path:
             h.update(path.name.encode() + b"\0" + path.read_bytes())
     assert h.hexdigest() == digest
+
+
+# SHA-256 of `survscore --help` and of each subcommand's --help at 80 columns.
+# From Python 3.13 argparse keeps a required option and its metavar on one usage
+# line, which moves the wrap of the pseudo and test usage.
+HELP_DIGESTS = {  # subcommand ("" for the top level) -> digest on Python 3.10-3.12
+    "": "1ff362f58ee0107c4f088a379817a6e64ba8c581b355ba114912065ec8b707c6",
+    "km": "fb4ed7822f5f8bf35b9c894c07f5c94bcf8baad83e2ed50aebece2e8d2a20f61",
+    "scores": "2330019b49b619f84b7302dc3f18acab7170f327c22da0dc38e932e437da8a89",
+    "pseudo": "5a636109e0af1065846ad3e3fbb664e2a89bbca8880bc37475408c543eec4297",
+    "test": "c77bb431967643810573cde36b094276118f96494a6b6451a2c7a89c66bd728d",
+    "censor": "b7d0905dd20af0a090aeca44e73f50b2ccce9b8b62e2654fa4b9255e39416cb6",
+    "plot": "a838f6e719a5cccab7406b09b2eb5c773248931b5426213d5d3658c0a8089e44",
+    "compare": "6c6871be26467483073603f22ea0fec3b7df08368d4c44d40045133d6a4ba16f",
+}
+HELP_DIGESTS_313 = {
+    **HELP_DIGESTS,
+    "pseudo": "72379f3dee5f726c925fe1769329e045082370b1f7b023b54239c52d4b5d7be7",
+    "test": "bcfd98e09abc55c828b4598daaad9e6e3fa46fe3de5231c2b7ac585d0d10de96",
+}
+
+
+@pytest.mark.skipif(not (3, 10) <= sys.version_info[:2] <= (3, 13),
+                    reason="help digests are pinned for Python 3.10-3.13")
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_bytes_match_golden(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run(*command.split(), "--help")
+    assert exc.value.code == 0
+    digests = HELP_DIGESTS_313 if sys.version_info >= (3, 13) else HELP_DIGESTS
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digests[command]
 
 
 def test_parametric_panel_bytes_on_simulated_trial(tmp_path):
