@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .censoring import inject_censoring
-from .curves import km_fit
+from .curves import StepSurvival, km_fit
 from .dataset import TrialDataset, parse_dataset, split_by_arm
 from .km_tests import milestone_test, rmst_test
 from .logrank import WeightSpec, score_chain, standardize
@@ -244,7 +244,9 @@ def cmd_km(args) -> int:
     groups = [("pooled", ds)] if args.pooled else zip((0, 1), split_by_arm(ds))
     times, survival, labels = [], [], []
     for label, sub in groups:
-        curve = km_fit(sub)
+        if not sub.n:
+            raise ValueError(f"arm {label} has no subjects")
+        curve = km_fit(sub) if sub.n_events else StepSurvival((), (), sub.follow_up)  # flat at 1
         times += (0.0, *curve.jump_times)
         survival += (1.0, *curve.values)
         labels += [label] * (1 + len(curve.values))

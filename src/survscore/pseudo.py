@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import mul, sub
 
 from .curves import (
     SurvivalCurve,
@@ -137,37 +138,41 @@ class PseudoSet:
     functionals: dict[str, float]
 
 
-def _functional(at, integral, spec: EstimandSpec) -> float:
-    """The estimand from a fit's survival function S(h) and its integral over [0, h]."""
+def _functional(at, integral, spec: EstimandSpec):
+    """The estimand of every fit, as a lazy stream in the fits' order.
+
+    ``at(h)`` and ``integral(h)`` give each fit's S(h) and integral over
+    [0, h] as columns; an undefined ahsw is refused when the stream reaches it.
+    """
     if spec.kind == "rmst":
-        return integral(spec.tau)
+        return iter(integral(spec.tau))
     if spec.kind == "milestone":
-        return at(spec.kappa)
+        return iter(at(spec.kappa))
     if spec.kind == "wmst":
-        return integral(spec.tau2) - integral(spec.tau1)
-    cumulative_incidence = 1.0 - at(spec.tau)
-    area = integral(spec.tau)
-    if area == 0.0:
-        raise ValueError(f"ahsw undefined: RMST({spec.tau:g}) = 0")
-    ratio = cumulative_incidence / area
-    if not spec.log_scale:
-        return ratio
-    if cumulative_incidence == 0.0:
-        raise ValueError(f"ahsw undefined on the log scale: S({spec.tau:g}) = 1")
-    return math.log(ratio)
+        return map(sub, integral(spec.tau2), integral(spec.tau1))
+
+    def ahsw(survival, area):
+        if area == 0.0:
+            raise ValueError(f"ahsw undefined: RMST({spec.tau:g}) = 0")
+        if not spec.log_scale:
+            return (1.0 - survival) / area
+        if survival == 1.0:
+            raise ValueError(f"ahsw undefined on the log scale: S({spec.tau:g}) = 1")
+        return math.log((1.0 - survival) / area)
+
+    return map(ahsw, at(spec.tau), integral(spec.tau))
 
 
 def _curve_functional(curve: SurvivalCurve, spec: EstimandSpec) -> float:
-    return _functional(curve.at, lambda h: rmst(curve, h), spec)
+    return next(_functional(lambda h: (curve.at(h),), lambda h: (rmst(curve, h),), spec))
 
 
-def _check_follow_up(spec: EstimandSpec, follow_up: float) -> None:
-    if spec.horizon > follow_up:
-        raise ValueError(f"horizon {spec.horizon:g} beyond follow-up {follow_up:g}")
+def _beyond_follow_up(spec: EstimandSpec, follow_up: float) -> str:
+    return f"horizon {spec.horizon:g} beyond follow-up {follow_up:g}"
 
 
-def _km_leave_one_out(rt: RiskTable, spec: EstimandSpec):
-    """Leave-one-out functionals of a Kaplan-Meier fit, by position in ``rt.source``.
+def _km_leave_one_out(rt: RiskTable):
+    """S(h) and RMST(h) of every leave-one-out Kaplan-Meier fit, as columns.
 
     Removing subject k (time t, event e) lowers the at-risk count by 1 at
     every event time <= t and the event count by e at t; the event times
@@ -175,73 +180,54 @@ def _km_leave_one_out(rt: RiskTable, spec: EstimandSpec):
     product of "shifted" factors 1 - d/(n - 1) up to the event time before
     t, one factor for the last event time at or before t (1, as if it were
     absent, when no event is left there), and the full fit's own factors
-    after it.  Prefix products and integrals of the shifted curve, plus
-    per-horizon suffix products and integrals of the full fit's factors
+    after it.  Prefix products and integrals of the shifted curve, plus the
+    suffix products and integrals of the full fit's factors for a horizon h
     (accumulated backwards, so nothing is divided and S = 0 is safe), give
-    every subject's S(h) and RMST(h) in O(1) from its ``rt.intervals`` entry.
+    every subject's S(h) and RMST(h) from its ``rt.intervals`` entry.
     Level j of a curve is its value after j jumps, on [start_j, t_j), with
-    start_0 = 0.
+    start_0 = 0.  Returns ``at(h)`` and ``integral(h)``: each builds its
+    suffixes once and gives one entry per subject, in ``rt.source`` order.
     """
-    times, at_risk, events = rt.times, rt.at_risk, rt.events
+    times, at_risk, events, pivots = rt.times, rt.at_risk, rt.events, rt.intervals
     starts = (0.0,) + times
     factors = [1.0 - d / n for d, n in zip(events, at_risk)]
-    source_times, source_events = rt.source.times, rt.source.events
-    ordered = sorted(source_times)
     # shifted level j, for every j < number of event times: an event time
     # before the last has a later death at risk, so n - 1 >= d there
-    shifted = [1.0]
-    for d, n in zip(events[:-1], at_risk[:-1]):
-        shifted.append(shifted[-1] * (1.0 - d / (n - 1)))
-    # area[j]: integral of the shifted curve over [0, start_j)
-    area = list(accumulate(
-        (s * (t - start) for s, t, start in zip(shifted, times, starts)), initial=0.0
+    shifted = list(accumulate(
+        (1.0 - d / (n - 1) for d, n in zip(events[:-1], at_risk[:-1])), mul, initial=1.0
     ))
-    suffixes = {}
+    # area[j]: integral of the shifted curve over [0, start_j)
+    area = list(accumulate(map(mul, shifted, map(sub, times, starts)), initial=0.0))
+    # each subject's level where its curve parts from the shifted one (its pivot)
+    levels = [
+        shifted[j - 1] * (1.0 - d / (at_risk[j - 1] - 1) if (d := events[j - 1] - e) else 1.0)
+        if j else 1.0
+        for j, e in zip(pivots, rt.source.events)
+    ]
 
-    def suffix(h):
-        """(last, integrals, through, products) for horizon h, built once per h.
+    def at(h):
+        # products[j]: S(h) of the curve that is 1 on level j, then takes the full fit's factors
+        through = bisect_right(times, h)
+        products = list(accumulate(reversed(factors[:through]), mul, initial=1.0))[::-1]
+        return [
+            shifted[through] if j > through else level * products[j]
+            for j, level in zip(pivots, levels)
+        ]
 
-        ``last`` event times lie before h and ``through`` at or before it;
-        integrals[j] and products[j] are the integral over [start_j, h) and
-        the value at h of the curve that is 1 on level j and then takes the
-        full fit's factors.
-        """
-        if h not in suffixes:
-            last = bisect_left(times, h)
-            integrals = [h - starts[last]]
-            for j in reversed(range(last)):
-                integrals.append(times[j] - starts[j] + factors[j] * integrals[-1])
-            through = bisect_right(times, h)
-            products = [1.0]
-            for j in reversed(range(through)):
-                products.append(factors[j] * products[-1])
-            suffixes[h] = last, integrals[::-1], through, products[::-1]
-        return suffixes[h]
+    def integral(h):
+        # integrals[j]: integral over [start_j, h) of that curve
+        last = bisect_left(times, h)
+        integrals = [h - starts[last]]
+        for j in reversed(range(last)):
+            integrals.append(times[j] - starts[j] + factors[j] * integrals[-1])
+        integrals.reverse()
+        return [
+            area[last] + shifted[last] * (h - starts[last]) if j > last
+            else area[j] + level * integrals[j]
+            for j, level in zip(pivots, levels)
+        ]
 
-    def estimate(position: int) -> float:
-        time = source_times[position]
-        # without the subject holding the unique largest time, follow-up
-        # ends at the second largest; with a tie it stays
-        _check_follow_up(spec, ordered[-2] if time == ordered[-1] else ordered[-1])
-        pivot = rt.intervals[position]  # the level where the curves part
-        level = 1.0
-        if pivot:
-            d = events[pivot - 1] - source_events[position]
-            level = shifted[pivot - 1] * (1.0 - d / (at_risk[pivot - 1] - 1) if d else 1.0)
-
-        def at(h):
-            _, _, through, products = suffix(h)
-            return shifted[through] if pivot > through else level * products[pivot]
-
-        def integral(h):
-            last, integrals, _, _ = suffix(h)
-            if pivot > last:
-                return area[last] + shifted[last] * (h - starts[last])
-            return area[pivot] + level * integrals[pivot]
-
-        return _functional(at, integral, spec)
-
-    return estimate
+    return at, integral
 
 
 def _totals_without_each(xs: list[float]) -> list[float]:
@@ -255,48 +241,59 @@ def _totals_without_each(xs: list[float]) -> list[float]:
     return [p + s for p, s in zip(prefix, suffix[1:])]
 
 
-def _parametric_leave_one_out(ds: TrialDataset, cuts: tuple[float, ...], spec: EstimandSpec):
-    """Leave-one-out functionals of a piecewise-exponential fit, by position in ``ds``.
+def _parametric_leave_one_out(ds: TrialDataset, cuts: tuple[float, ...]):
+    """S(h) and RMST(h) of every leave-one-out piecewise-exponential fit, as columns.
 
     Hazards are constant between ``cuts``; with no cuts this is the
     exponential fit.  Subject k's fit keeps every interval's person-time
     and events of the others; an interval no other subject reaches gets
-    person-time 0 and rate 0, as in a refit.
+    person-time 0 and rate 0, as in a refit.  Returns ``at(h)`` and
+    ``integral(h)`` as _km_leave_one_out() does, and the position of the
+    first subject whose rates overflow, or None.
     """
-    columns = [
-        (_totals_without_each(person_time), sum(events), events)
-        for person_time, events in interval_exposure(ds, cuts)
-    ]
-
-    def estimate(position: int) -> float:
-        rates = []
-        for person_time, total_events, events in columns:
-            time = person_time[position]
-            rates.append((total_events - events[position]) / time if time > 0 else 0.0)
-        # the full fit validated the cuts; a rate can still overflow
-        if not all(0.0 <= rate < math.inf for rate in rates):
-            raise ValueError("rates must be finite and nonnegative")
-        return _functional(
-            lambda h: math.exp(-piecewise_hazard(cuts, rates, h)),
-            lambda h: piecewise_rmst(cuts, rates, h),
-            spec,
-        )
-
-    return estimate
+    columns = []
+    for person_time, events in interval_exposure(ds, cuts):
+        total = sum(events)
+        columns.append([
+            (total - e) / time if time > 0 else 0.0
+            for time, e in zip(_totals_without_each(person_time), events)
+        ])
+    # the full fit validated the cuts; a count over a positive person-time is
+    # never negative or NaN, but it can still overflow
+    overflow = min((c.index(math.inf) for c in columns if math.inf in c), default=None)
+    rates = list(zip(*columns))
+    return (
+        lambda h: [math.exp(-piecewise_hazard(cuts, r, h)) for r in rates],
+        lambda h: [piecewise_rmst(cuts, r, h) for r in rates],
+        overflow,
+    )
 
 
 def _fit_group(ds: TrialDataset, spec: EstimandSpec):
-    """One fitting group's full-sample functional, and its leave-one-out one.
+    """One fitting group's full-sample functional, its leave-one-out ones, and a refusal.
 
-    The second is a function of the subject's position in ``ds``.
+    The leave-one-out functionals are a lazy stream in ``ds`` order.  The
+    refusal is the position of the first subject whose fit the downdate
+    refuses, and why, or (None, None).
     """
+    refusal = None, None
     if spec.backend == "km":
         curve = km_fit(ds)
-        _check_follow_up(spec, curve.follow_up)
-        return _curve_functional(curve, spec), _km_leave_one_out(build_risk_table(ds), spec)
-    cuts = spec.breakpoints if spec.backend == "piecewise" else ()  # exponential: no cuts
-    full = fit_piecewise_exponential(ds, cuts)
-    return _curve_functional(full, spec), _parametric_leave_one_out(ds, full.breakpoints, spec)
+        if spec.horizon > curve.follow_up:
+            raise ValueError(_beyond_follow_up(spec, curve.follow_up))
+        at, integral = _km_leave_one_out(build_risk_table(ds))
+        # without the last subject in time order, follow-up ends at the time
+        # before it in that order; without any other it stays
+        second, last = ds.time_order[-2:]
+        if spec.horizon > ds.times[second]:
+            refusal = last, _beyond_follow_up(spec, ds.times[second])
+    else:
+        cuts = spec.breakpoints if spec.backend == "piecewise" else ()  # exponential: no cuts
+        curve = fit_piecewise_exponential(ds, cuts)
+        at, integral, overflow = _parametric_leave_one_out(ds, curve.breakpoints)
+        if overflow is not None:
+            refusal = overflow, "rates must be finite and nonnegative"
+    return _curve_functional(curve, spec), _functional(at, integral, spec), refusal
 
 
 def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
@@ -306,12 +303,10 @@ def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
     from downdating that fit, exactly, rather than from n refits.
     """
     if spec.pooling == "arm":
-        arm0, arm1 = split_by_arm(ds)
         groups = [
-            ("arm0", [i for i, arm in enumerate(ds.arms) if arm == 0], arm0),
-            ("arm1", [i for i, arm in enumerate(ds.arms) if arm == 1], arm1),
+            (f"arm{a}", [k for k, arm in enumerate(ds.arms) if arm == a], subset)
+            for a, subset in enumerate(split_by_arm(ds)) if subset.n
         ]
-        groups = [g for g in groups if g[1]]
     else:
         groups = [("pooled", list(range(ds.n)), ds)]
 
@@ -323,7 +318,7 @@ def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
         if n < 2:
             raise ValueError(f"fitting group {label} needs at least 2 subjects, has {n}")
         try:
-            full, leave_one_out = _fit_group(subset, spec)
+            full, estimates, (refused, reason) = _fit_group(subset, spec)
         except ValueError as exc:
             raise ValueError(f"{exc} (full fit, group {label})") from None
         functionals[label] = full
@@ -334,7 +329,9 @@ def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
                     f"degenerate leave-one-out: removing subject {k} leaves no events"
                 )
             try:
-                estimate = leave_one_out(position)
+                if position == refused:
+                    raise ValueError(reason)
+                estimate = next(estimates)
             except ValueError as exc:
                 raise ValueError(f"{exc} (after removing subject {k})") from None
             loo[k] = estimate

@@ -105,6 +105,28 @@ def test_km_pooled(toy_csv_path, capsys):
     assert lines[1].endswith(",pooled")
 
 
+@pytest.mark.parametrize("rows, flags, want", [
+    # arm 1 has subjects but no event: its curve is flat at 1
+    ("1,0,1\n2,0,1\n3,1,0\n4,1,0\n", [], "0,1,0\n1,0.5,0\n2,0,0\n0,1,1\n"),
+    ("1,0,0\n2,1,0\n", ["--pooled"], "0,1,pooled\n"),
+    ("1,0,0\n2,1,0\n", [], "0,1,0\n0,1,1\n"),
+], ids=["arm-without-events", "pooled-without-events", "arms-without-events"])
+def test_km_prints_a_flat_curve_for_a_group_without_events(tmp_path, capsys, rows, flags, want):
+    path = tmp_path / "trial.csv"
+    path.write_text("time,arm,event\n" + rows, encoding="utf-8")
+    assert run("km", "--input", str(path), *flags) == 0
+    assert capsys.readouterr().out == "time,survival,arm\n" + want
+
+
+@pytest.mark.parametrize("rows, arm", [("1,0,1\n2,0,0\n", 1), ("1,1,1\n2,1,0\n", 0)],
+                         ids=["no-arm-1", "no-arm-0"])
+def test_km_refuses_an_arm_without_subjects(tmp_path, capsys, rows, arm):
+    path = tmp_path / "trial.csv"
+    path.write_text("time,arm,event\n" + rows, encoding="utf-8")
+    assert run("km", "--input", str(path)) == 1
+    assert capsys.readouterr() == ("", f"error: arm {arm} has no subjects\n")
+
+
 def test_test_json_asymptotic(toy_csv_path, capsys):
     assert run("test", "--input", str(toy_csv_path), "--method", "logrank") == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -11,13 +13,14 @@ from survscore import (
     TrialDataset,
     exact_perm_p,
     mean_score_diff,
+    parse_dataset,
     pseudo_test,
     pseudo_values,
     standardize_pseudo,
 )
 from survscore.pseudo import _functional
 from tests import oracles
-from tests.conftest import pseudo_friendly_dataset
+from tests.conftest import pseudo_friendly_dataset, simulated_trial_csv
 
 # (time, arm) -> (loo rmst, pseudo-value, scaled) for rmst(18), KM, per-arm
 TOY_EXPECTED = {
@@ -36,6 +39,11 @@ TOY_EXPECTED = {
 }
 
 RMST18 = EstimandSpec(kind="rmst", tau=18.0, backend="km", pooling="arm")
+
+
+def _whole(text):
+    """A ``pytest.raises`` match for exactly ``text``."""
+    return f"^{re.escape(text)}$"
 
 
 def test_estimand_spec_validation():
@@ -89,7 +97,7 @@ def test_wmst_is_difference_of_rmst_pseudo_values(toy):
 
 def test_single_subject_group_rejected():
     ds = TrialDataset((Subject(5.0, 0, 1), Subject(6.0, 0, 1), Subject(4.0, 1, 1)))
-    with pytest.raises(ValueError, match="at least 2 subjects"):
+    with pytest.raises(ValueError, match=_whole("fitting group arm1 needs at least 2 subjects, has 1")):
         pseudo_values(ds, EstimandSpec(kind="milestone", kappa=3.0, pooling="arm"))
 
 
@@ -98,7 +106,9 @@ def test_degenerate_leave_one_out_named():
     ds = TrialDataset(
         (Subject(5.0, 0, 1), Subject(6.0, 0, 0), Subject(4.0, 1, 1), Subject(7.0, 1, 1))
     )
-    with pytest.raises(ValueError, match="removing subject 0"):
+    with pytest.raises(
+        ValueError, match=_whole("degenerate leave-one-out: removing subject 0 leaves no events")
+    ):
         pseudo_values(ds, EstimandSpec(kind="rmst", tau=4.0, pooling="arm"))
 
 
@@ -114,7 +124,9 @@ def test_horizon_beyond_loo_follow_up_named():
             Subject(21.0, 1, 0),
         )
     )
-    with pytest.raises(ValueError, match="beyond follow-up.*removing subject 2"):
+    with pytest.raises(
+        ValueError, match=_whole("horizon 10 beyond follow-up 3 (after removing subject 2)")
+    ):
         pseudo_values(ds, EstimandSpec(kind="rmst", tau=10.0, pooling="arm"))
 
 
@@ -133,7 +145,9 @@ def test_ahsw_log_of_zero_named():
         )
     )
     spec = EstimandSpec(kind="ahsw", tau=8.0, backend="km", pooling="arm")
-    with pytest.raises(ValueError, match="S\\(8\\) = 1.*removing subject 4"):
+    with pytest.raises(ValueError, match=_whole(
+        "ahsw undefined on the log scale: S(8) = 1 (after removing subject 4)"
+    )):
         pseudo_values(ds, spec)
     # on the ratio scale the same configuration is fine
     ratio = pseudo_values(
@@ -146,7 +160,7 @@ def test_ahsw_log_of_zero_named():
 def test_ahsw_refuses_a_zero_integral(log_scale):
     spec = EstimandSpec(kind="ahsw", tau=2.0, log_scale=log_scale)
     with pytest.raises(ValueError, match="ahsw undefined: RMST\\(2\\) = 0"):
-        _functional(lambda h: 0.5, lambda h: 0.0, spec)
+        next(_functional(lambda h: [0.5], lambda h: [0.0], spec))
 
 
 def test_standardize_pseudo_orientation(toy):
@@ -197,6 +211,65 @@ def test_standardize_pseudo_degenerate():
         standardize_pseudo(ps)
 
 
+# Arm 0 of both trials is fine; arm 1 holds the same three subjects in two
+# orders.  Without the unique largest time, 20, follow-up ends at 7.5 < 8;
+# without the only event before 8, at 3, S(8) = 1.  The lower index is named.
+AHSW_ARM0 = ((1, 0, 1), (2, 0, 1), (9, 0, 0), (9.5, 0, 0))
+LATE_FIRST = AHSW_ARM0 + ((20, 1, 1), (3, 1, 1), (7.5, 1, 0))
+EARLY_FIRST = AHSW_ARM0 + ((3, 1, 1), (20, 1, 1), (7.5, 1, 0))
+
+
+@pytest.mark.parametrize("rows, spec, text", [
+    # two events at 5e-324: without subject 2, arm 0's person-time is 1e-323
+    # and its rate 2 / 1e-323 overflows
+    (
+        ((5e-324, 0, 1), (5e-324, 0, 1), (1.0, 0, 0), (2, 1, 1), (3, 1, 0), (4, 1, 1)),
+        EstimandSpec(kind="rmst", tau=0.5, backend="exponential"),
+        "rates must be finite and nonnegative (after removing subject 2)",
+    ),
+    (
+        LATE_FIRST,
+        EstimandSpec(kind="ahsw", tau=8.0),
+        "horizon 8 beyond follow-up 7.5 (after removing subject 4)",
+    ),
+    (
+        EARLY_FIRST,
+        EstimandSpec(kind="ahsw", tau=8.0),
+        "ahsw undefined on the log scale: S(8) = 1 (after removing subject 4)",
+    ),
+], ids=["parametric-overflow", "follow-up-first", "log-of-one-first"])
+def test_leave_one_out_refusal_names_the_first_subject(rows, spec, text):
+    with pytest.raises(ValueError, match=_whole(text)):
+        pseudo_values(_dataset(rows), spec)
+
+
+# Every estimand on each backend and pooling, as pseudo-values and the
+# leave-one-out estimates behind them, on the n = 300 simulated trial.
+DIGEST_ESTIMANDS = (
+    {"kind": "rmst", "tau": 18.0},
+    {"kind": "milestone", "kappa": 18.0},
+    {"kind": "wmst", "tau1": 6.0, "tau2": 18.0},
+    {"kind": "ahsw", "tau": 18.0},
+    {"kind": "ahsw", "tau": 18.0, "log_scale": False},
+)
+
+
+def test_pseudo_value_bits_on_simulated_trial(tmp_path):
+    ds = parse_dataset(simulated_trial_csv(tmp_path).read_text(encoding="utf-8"))
+    lines = []
+    for backend in ("km", "exponential", "piecewise"):
+        for pooling in ("arm", "pooled"):
+            for params in DIGEST_ESTIMANDS:
+                spec = EstimandSpec(
+                    backend=backend, pooling=pooling, breakpoints=(2, 4, 6, 8), **params
+                )
+                ps = pseudo_values(ds, spec)
+                lines.append(spec.describe())
+                lines += map(float.hex, ps.values + ps.loo)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "60e99c814c515ec4aae974a5dcaba5b2bca4ccec4240c16b8870d77538e734fa"
+
+
 # An exponential fit integrates any horizon; at 1e308 subject 0's rmst overflows.
 ONE_EARLY_EVENT = TrialDataset(tuple(
     Subject(t, arm, e)
@@ -209,7 +282,7 @@ def exp_rmst(tau):
 
 
 def test_non_finite_pseudo_value_refused():
-    with pytest.raises(ValueError, match="pseudo-value of subject 0 is not finite"):
+    with pytest.raises(ValueError, match=_whole("pseudo-value of subject 0 is not finite")):
         pseudo_values(ONE_EARLY_EVENT, exp_rmst(1e308))
 
 
