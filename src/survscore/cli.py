@@ -328,7 +328,10 @@ def cmd_panels(args) -> int:
     panels = []
     for text in specs:
         spec = parse_method_spec(text)
-        scaled = spec.scaled(ds)
+        try:
+            scaled = spec.scaled(ds)
+        except ValueError as exc:
+            raise ValueError(f"panel {text!r}: {exc}") from None
         panels.append(PlotPanel.from_values(spec.describe(), ds.times, scaled, ds.arms, ds.events))
     out = Path(args.output)
     out.write_text(render_svg(panels, columns=args.columns), encoding="utf-8")

@@ -6,7 +6,7 @@ quadrature), so repeated evaluation is reproducible to rounding error.
 """
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -44,11 +44,6 @@ class StepSurvival:
         idx = bisect_right(self.jump_times, t)
         return 1.0 if idx == 0 else self.values[idx - 1]
 
-    def left(self, t: float) -> float:
-        """S(t-), the left limit."""
-        idx = bisect_left(self.jump_times, t)
-        return 1.0 if idx == 0 else self.values[idx - 1]
-
 
 @dataclass(frozen=True)
 class ParametricSurvival:
@@ -58,16 +53,13 @@ class ParametricSurvival:
     defined for every t >= 0 (extrapolates by construction).
     """
 
-    breakpoints: tuple[float, ...]  # strictly ascending, all > 0; may be empty
+    breakpoints: tuple[float, ...]  # finite, strictly ascending, all > 0; may be empty
     rates: tuple[float, ...]  # one per interval, len(breakpoints) + 1
 
     def __post_init__(self):
         if len(self.rates) != len(self.breakpoints) + 1:
             raise ValueError("need exactly one rate per interval")
-        if any(c <= 0 for c in self.breakpoints):
-            raise ValueError("breakpoints must be positive")
-        if any(b <= a for a, b in zip(self.breakpoints, self.breakpoints[1:])):
-            raise ValueError("breakpoints must be strictly ascending")
+        object.__setattr__(self, "breakpoints", valid_breakpoints(self.breakpoints))
         if any(r < 0 or not math.isfinite(r) for r in self.rates):
             raise ValueError("rates must be finite and nonnegative")
 
@@ -184,17 +176,23 @@ def fit_piecewise_exponential(ds: TrialDataset, breakpoints) -> ParametricSurviv
     """
     if ds.n == 0:
         raise ValueError("cannot fit an empty dataset")
-    cuts = tuple(float(c) for c in breakpoints)
-    if not all(map(math.isfinite, cuts)):
-        raise ValueError("breakpoints must be finite")
-    if any(c <= 0 for c in cuts) or any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise ValueError("breakpoints must be positive and strictly ascending")
+    cuts = valid_breakpoints(breakpoints)
     rates = []
     for person_time, events in interval_exposure(ds, cuts):
         # left to right, not sum(): it compensates from Python 3.12 on, moving bytes
         total = reduce(add, person_time, 0.0)
         rates.append(sum(events) / total if total > 0 else 0.0)
     return ParametricSurvival(cuts, tuple(rates))
+
+
+def valid_breakpoints(breakpoints) -> tuple[float, ...]:
+    """``breakpoints`` as floats, refused unless finite, positive and strictly ascending."""
+    cuts = tuple(float(c) for c in breakpoints)
+    if not all(map(math.isfinite, cuts)):
+        raise ValueError("breakpoints must be finite")
+    if any(c <= 0 for c in cuts) or any(b <= a for a, b in zip(cuts, cuts[1:])):
+        raise ValueError("breakpoints must be positive and strictly ascending")
+    return cuts
 
 
 def interval_exposure(ds: TrialDataset, cuts: tuple[float, ...]):

@@ -22,6 +22,7 @@ from .curves import (
     piecewise_hazard,
     piecewise_rmst,
     rmst,
+    valid_breakpoints,
 )
 from .dataset import RiskTable, TrialDataset, build_risk_table, split_by_arm
 from .logrank import TestResult, _unit_axis, mean_score_diff, perm_moments
@@ -37,8 +38,8 @@ class EstimandSpec:
 
     wmst allows tau1 = 0, in which case it coincides with rmst(tau2).
     ahsw is (1 - S(tau)) / rmst(tau), compared on the log scale unless
-    ``log_scale`` is switched off.  Horizons and breakpoints must be
-    finite.
+    ``log_scale`` is switched off.  Horizons must be finite; breakpoints
+    finite, positive and strictly ascending.
     """
 
     kind: str
@@ -69,9 +70,7 @@ class EstimandSpec:
                 raise ValueError("wmst needs finite window times tau1 >= 0 and tau2")
             if not self.tau1 < self.tau2:
                 raise ValueError("wmst needs tau1 < tau2")
-        object.__setattr__(self, "breakpoints", tuple(float(c) for c in self.breakpoints))
-        if not all(map(math.isfinite, self.breakpoints)):
-            raise ValueError("breakpoints must be finite")
+        object.__setattr__(self, "breakpoints", valid_breakpoints(self.breakpoints))
 
     @property
     def benefit(self) -> str:

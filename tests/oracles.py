@@ -51,6 +51,7 @@ def step_at(steps, t):
 
 
 def step_left(steps, t):
+    """Left limit S(t-) of a [(time, value)] step curve."""
     value = 1.0
     for u, v in steps:
         if u < t:
@@ -60,11 +61,12 @@ def step_left(steps, t):
     return value
 
 
-def weights_by_bisect(rt, pooled, spec):
-    """Event-time weights from S(t-) looked up by bisect, ``pooled.left(t)``, at each time."""
+def weights_from_left_limits(rt, pooled, spec):
+    """Event-time weights from S(t-) of ``pooled``, looked up by step_left() at each time."""
+    steps = list(zip(pooled.jump_times, pooled.values))
     weights = []
     for t in rt.times:
-        s = pooled.left(t)
+        s = step_left(steps, t)
         if spec.kind == "logrank":
             weights.append(1.0)
         elif spec.kind == "fleming_harrington":
@@ -161,6 +163,37 @@ def functional(subjects, kind, backend, cuts=(), tau=None, kappa=None,
         return integral(tau2) - integral(tau1)
     ratio = (1.0 - survival(tau)) / integral(tau)
     return math.log(ratio) if log_scale else ratio
+
+
+def km_difference(subjects, kind, horizon):
+    """Closed-form KM test of (time, arm, event) triples, straight from its definition.
+
+    The statistic is arm 1 minus arm 0 of RMST(horizon) (``kind`` "rmst")
+    or S(horizon) ("milestone").  The variance sums c^2 d / (n (n - d))
+    over each arm's event times t <= horizon, where c is the integral of
+    the arm's curve over [t, horizon] (rmst) or its value at the horizon
+    (milestone); a term with n = d is dropped and counted.  Returns
+    (statistic, variance, (terms dropped on arm 0, on arm 1)).
+    """
+    estimates, variance, dropped = [], 0.0, []
+    for arm in (0, 1):
+        pairs = [(t, e) for t, a, e in subjects if a == arm]
+        steps = km_steps(pairs)
+        if kind == "rmst":
+            estimates.append(step_integral(steps, horizon))
+        else:
+            estimates.append(step_at(steps, horizon))
+        count = 0
+        for t in sorted({t for t, e in pairs if e and t <= horizon}):
+            at_risk = sum(1 for u, _ in pairs if u >= t)
+            deaths = sum(1 for u, e in pairs if e and u == t)
+            if at_risk == deaths:
+                count += 1
+                continue
+            c = estimates[-1] - step_integral(steps, t) if kind == "rmst" else estimates[-1]
+            variance += c * c * deaths / (at_risk * (at_risk - deaths))
+        dropped.append(count)
+    return estimates[1] - estimates[0], variance, tuple(dropped)
 
 
 def jackknife_pseudo(ds, kind, backend, pooling, **params):

@@ -565,6 +565,53 @@ def test_breakpoints_without_pwexp_are_refused(argv, message, toy_csv_path, tmp_
     assert not out.exists()
 
 
+ASCENT = "breakpoints must be positive and strictly ascending"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["plot", "--spec", "rmst:tau=18,backend=pwexp,breakpoints=4:2"],
+     f"bad method spec 'rmst:tau=18,backend=pwexp,breakpoints=4:2': {ASCENT}"),
+    (["compare", "--spec", "logrank", "--spec", "milestone:kappa=9,backend=pwexp,breakpoints=2:2"],
+     f"bad method spec 'milestone:kappa=9,backend=pwexp,breakpoints=2:2': {ASCENT}"),
+    (["pseudo", "--estimand", "rmst", "--tau", "18", "--backend", "pwexp", "--breakpoints", "4,2"],
+     ASCENT),
+    (["test", "--method", "pseudo", "--estimand", "ahsw", "--tau", "9", "--backend", "pwexp",
+      "--breakpoints", "0,2"], ASCENT),
+], ids=["plot", "compare", "pseudo", "test"])
+def test_bad_breakpoints_are_a_spec_error(argv, message, toy_csv_path, tmp_path, capsys):
+    """Refused with the spec, before any group is fitted, so no group is named."""
+    out = tmp_path / "out.svg"
+    assert run(*argv, "--input", str(toy_csv_path), "--output", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--spec", "logrank", "--spec", "rmst:tau=40"],
+     "panel 'rmst:tau=40': horizon 40 beyond follow-up 34.64 (full fit, group arm0)"),
+    (["plot", "--spec", "milestone:kappa=34"],
+     "panel 'milestone:kappa=34': horizon 34 beyond follow-up 28.69 (after removing subject 0)"),
+], ids=["full-fit", "leave-one-out"])
+def test_panel_that_cannot_be_computed_names_its_spec(argv, message, toy_csv_path, tmp_path,
+                                                      capsys):
+    out = tmp_path / "out.svg"
+    assert run(*argv, "--input", str(toy_csv_path), "--output", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_panel_of_equal_scores_names_its_spec(tmp_path, capsys):
+    path = tmp_path / "degenerate.csv"
+    path.write_text(DEGENERATE_CSV, encoding="utf-8")
+    out = tmp_path / "out.svg"
+    argv = ["compare", "--spec", "mw:sstar=0.5", "--spec", "logrank", "--input", str(path)]
+    assert run(*argv, "--output", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "error: panel 'mw:sstar=0.5': degenerate score range: all scores equal\n"
+    )
+    assert not out.exists()
+
+
 # Every score is 0: one event time at which both subjects have their event.
 DEGENERATE_CSV = "time,arm,event\n5,0,1\n5,1,1\n"
 
@@ -845,7 +892,8 @@ def test_scores_survival_column_is_the_left_limit(rows, tmp_path, monkeypatch):
         return  # no event, or all scores equal: nothing is tabulated
     pooled = km_fit(parse_dataset(path.read_text(encoding="utf-8")))
     (columns,) = tables
-    assert columns["survival"] == [pooled.left(t) for t in columns["time"]]
+    steps = list(zip(pooled.jump_times, pooled.values))
+    assert columns["survival"] == [oracles.step_left(steps, t) for t in columns["time"]]
 
 
 def test_one_km_fit_per_dataset_across_subcommands(toy_csv_path, capsys, monkeypatch):

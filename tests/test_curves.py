@@ -26,8 +26,9 @@ def toy_pooled(toy):
 
 
 def test_km_toy_left_limits(toy, toy_pooled):
-    assert toy_pooled.left(6.12) == pytest.approx(0.917, abs=1e-3)
-    assert toy_pooled.left(24.98) == pytest.approx(0.500, abs=1e-3)
+    # S(t-) at an event time is the level after the jump before it: 4.38, 16.73
+    assert toy_pooled.at(6.0) == pytest.approx(0.917, abs=1e-3)
+    assert toy_pooled.at(24.0) == pytest.approx(0.500, abs=1e-3)
     # whole curve against the direct-product oracle
     steps = oracles.km_steps([(s.time, s.event) for s in toy.subjects])
     assert toy_pooled.jump_times == tuple(t for t, _ in steps)
@@ -107,9 +108,9 @@ def test_surv_at_toy_milestone(toy, toy_pooled):
 def test_step_right_continuity():
     curve = StepSurvival((1.0, 2.0), (0.6, 0.2), follow_up=3.0)
     assert curve.at(1.0) == 0.6
-    assert curve.left(1.0) == 1.0
+    assert curve.at(0.999) == 1.0
     assert curve.at(2.0) == 0.2
-    assert curve.left(2.0) == 0.6
+    assert curve.at(1.999) == 0.6
 
 
 def test_step_survival_validation():
@@ -169,6 +170,17 @@ def test_piecewise_validation(toy):
     for cut in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             fit_piecewise_exponential(toy, (2.0, cut))
+
+
+@pytest.mark.parametrize("cuts, message", [
+    ((math.nan,), "breakpoints must be finite"),  # else S(1) reads nan and RMST(2) 0.0
+    ((2.0, math.inf), "breakpoints must be finite"),
+    ((4.0, 2.0), "breakpoints must be positive and strictly ascending"),
+    ((0.0, 2.0), "breakpoints must be positive and strictly ascending"),
+])
+def test_parametric_curve_refuses_what_the_fit_refuses(cuts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ParametricSurvival(cuts, (0.1,) * (len(cuts) + 1))
 
 
 rates_st = st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=4)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from survscore import (
     EstimandSpec,
@@ -8,7 +10,8 @@ from survscore import (
     pseudo_values,
     rmst_test,
 )
-from tests.conftest import random_dataset
+from tests import oracles
+from tests.conftest import random_dataset, tied_rows_st
 
 
 def mirrored(base):
@@ -117,3 +120,39 @@ def test_variance_nonnegative_on_random_data():
         )
         res = rmst_test(ds, horizon)
         assert res.variance >= 0.0
+
+
+# the curve of arm 0 reaches 0 at t = 2, where its last subject dies: n = d there
+ARM_REACHING_ZERO = [(1.0, 0, 1), (2.0, 0, 1), (1.0, 1, 1), (2.5, 1, 0)]
+
+
+@given(
+    rows=tied_rows_st.filter(lambda rows: {a for _, a, e in rows if e} == {0, 1}),
+    kind=st.sampled_from(("rmst", "milestone")),
+    where=st.sampled_from(("event", "between", "follow-up")),
+    pick=st.integers(0, 11),
+)
+@example(rows=ARM_REACHING_ZERO, kind="rmst", where="follow-up", pick=0)
+@example(rows=ARM_REACHING_ZERO, kind="milestone", where="event", pick=1)
+@settings(max_examples=300, deadline=None)
+def test_closed_form_matches_definition_oracle(rows, kind, where, pick):
+    # the horizon is an event time, a point between two of them (or before
+    # the first), or the shorter of the two arms' follow-ups
+    follow_up = min(max(t for t, a, _ in rows if a == arm) for arm in (0, 1))
+    event_times = sorted({t for t, _, e in rows if e and t <= follow_up})
+    points = sorted({0.0, *event_times, follow_up})
+    candidates = {
+        "event": event_times,
+        "between": [(a + b) / 2 for a, b in zip(points, points[1:])],
+        "follow-up": [follow_up],
+    }[where]
+    horizon = candidates[pick % len(candidates)]
+    ds = TrialDataset(tuple(Subject(*row) for row in rows))
+    result = (rmst_test if kind == "rmst" else milestone_test)(ds, horizon)
+    statistic, variance, dropped = oracles.km_difference(rows, kind, horizon)
+    assert result.statistic == pytest.approx(statistic, rel=1e-9, abs=1e-12)
+    assert result.variance == pytest.approx(variance, rel=1e-9, abs=1e-12)
+    assert tuple(
+        sum(f" on arm {arm} dropped: " in w for w in result.warnings) for arm in (0, 1)
+    ) == dropped
+    assert len(result.warnings) == sum(dropped)

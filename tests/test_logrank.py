@@ -75,7 +75,8 @@ def test_weights_read_left_limits_by_index(rows):
     for ds in datasets_with_events(rows):  # the trial and each arm alone
         rt, pooled = build_risk_table(ds), km_fit(ds)
         for spec in ALL_SPECS:
-            assert compute_weights(rt, pooled, spec) == oracles.weights_by_bisect(rt, pooled, spec)
+            want = oracles.weights_from_left_limits(rt, pooled, spec)
+            assert compute_weights(rt, pooled, spec) == want
 
 
 def test_weights_refuse_a_curve_from_another_dataset(toy_parts):

@@ -68,6 +68,12 @@ def test_estimand_spec_validation():
     EstimandSpec(kind="wmst", tau1=0.0, tau2=3.0)
 
 
+@pytest.mark.parametrize("cuts", [(4.0, 2.0), (2.0, 2.0), (0.0, 2.0), (-1.0,)])
+def test_spec_refuses_breakpoints_out_of_order_or_not_positive(cuts):
+    with pytest.raises(ValueError, match="^breakpoints must be positive and strictly ascending$"):
+        EstimandSpec(kind="rmst", tau=1.0, backend="piecewise", breakpoints=cuts)
+
+
 def test_toy_rmst_pseudo_values(toy):
     ps = pseudo_values(toy, RMST18)
     for subject, loo, value, scaled in zip(toy.subjects, ps.loo, ps.values, standardize_pseudo(ps)):
