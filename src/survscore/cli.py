@@ -14,9 +14,9 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .censoring import inject_censoring
 from .curves import StepSurvival, km_fit
@@ -33,12 +33,14 @@ def _jsonable(x):
 
 
 def _load(args) -> TrialDataset:
-    return parse_dataset(Path(args.input).read_text(encoding="utf-8-sig"))
+    with open(args.input, encoding="utf-8-sig") as f:
+        return parse_dataset(f.read())
 
 
-def _emit(text: str, args) -> None:
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+def _emit(text: str, path) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -250,7 +252,8 @@ def cmd_km(args) -> int:
         times += (0.0, *curve.jump_times)
         survival += (1.0, *curve.values)
         labels += [label] * (1 + len(curve.values))
-    _emit(_tabulate({"time": times, "survival": survival, "arm": labels}, args.format), args)
+    _emit(_tabulate({"time": times, "survival": survival, "arm": labels}, args.format),
+          args.output)
     return 0
 
 
@@ -272,7 +275,7 @@ def cmd_scores(args) -> int:
         score=[scores.values[k] for k in order],
         scaled_score=[scaled[k] for k in order],
     )
-    _emit(_tabulate(columns, args.format), args)
+    _emit(_tabulate(columns, args.format), args.output)
     return 0
 
 
@@ -282,7 +285,7 @@ def cmd_pseudo(args) -> int:
     ps = pseudo_values(ds, spec)
     columns = _subject_columns(ds)
     columns.update(loo_estimate=ps.loo, pseudo=ps.values, scaled_pseudo=standardize_pseudo(ps))
-    _emit(_tabulate(columns, args.format), args)
+    _emit(_tabulate(columns, args.format), args.output)
     return 0
 
 
@@ -308,37 +311,36 @@ def cmd_test(args) -> int:
             raise ValueError("permutation inference needs per-subject values; "
                              "use a score method or --method pseudo")
         payload["permutation"] = PERM_MODES[args.perm](result, ds, args)
-    _emit(json.dumps(payload, indent=2) + "\n", args)
+    _emit(json.dumps(payload, indent=2) + "\n", args.output)
     return 0
 
 
 def cmd_censor(args) -> int:
     censored = inject_censoring(_load(args), args.max, args.seed)
-    _emit(_tabulate(_subject_columns(censored), "csv"), args)
+    _emit(_tabulate(_subject_columns(censored), "csv"), args.output)
     return 0
 
 
 def cmd_panels(args) -> int:
     """plot (one --spec) or compare (several): an SVG plus a CSV of its points, panel by panel."""
     compare = args.command == "compare"
-    specs = args.spec if compare else [args.spec]
-    if compare and len(specs) < 2:
+    texts = args.spec if compare else [args.spec]
+    if compare and len(texts) < 2:
         raise ValueError("compare needs at least two --spec methods")
+    specs = [parse_method_spec(text) for text in texts]  # all, before the data are read
     ds = _load(args)
     panels = []
-    for text in specs:
-        spec = parse_method_spec(text)
+    for text, spec in zip(texts, specs):
         try:
             scaled = spec.scaled(ds)
         except ValueError as exc:
             raise ValueError(f"panel {text!r}: {exc}") from None
         panels.append(PlotPanel.from_values(spec.describe(), ds.times, scaled, ds.arms, ds.events))
-    out = Path(args.output)
-    out.write_text(render_svg(panels, columns=args.columns), encoding="utf-8")
+    _emit(render_svg(panels, columns=args.columns), args.output)
     columns = {"method": [panel.title for panel in panels for _ in panel.times]} if compare else {}
     columns.update(_subject_columns(ds, repeat=len(panels)))
     columns["scaled_value"] = [v for panel in panels for v in panel.values]
-    out.with_suffix(".csv").write_text(_tabulate(columns, "csv"), encoding="utf-8")
+    _emit(_tabulate(columns, "csv"), os.path.splitext(args.output)[0] + ".csv")
     return 0
 
 

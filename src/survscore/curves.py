@@ -110,6 +110,14 @@ def _product_limit(ds: TrialDataset) -> StepSurvival:
     return StepSurvival(times, tuple(values), ds.follow_up)
 
 
+def beyond_follow_up(horizon: float, follow_up: float) -> str | None:
+    """The refusal of every Kaplan-Meier route at a horizon past follow-up, or None.
+
+    A step curve is not extrapolated; a route adds its context in parentheses.
+    """
+    return f"horizon {horizon:g} beyond follow-up {follow_up:g}" if horizon > follow_up else None
+
+
 def rmst(curve: SurvivalCurve, tau: float) -> float:
     """Exact integral of the survival curve over [0, tau].
 
@@ -121,11 +129,8 @@ def rmst(curve: SurvivalCurve, tau: float) -> float:
     if tau == 0:
         return 0.0
     if isinstance(curve, StepSurvival):
-        if tau > curve.follow_up:
-            raise ValueError(
-                f"restriction time beyond data: tau={tau:g} exceeds follow-up "
-                f"{curve.follow_up:g}"
-            )
+        if refusal := beyond_follow_up(tau, curve.follow_up):
+            raise ValueError(refusal)
         total = 0.0
         prev_t, surv = 0.0, 1.0
         for t, v in zip(curve.jump_times, curve.values):

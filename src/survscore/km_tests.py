@@ -9,7 +9,7 @@ divides by zero; such terms are dropped and a warning is attached.
 from bisect import bisect_left
 from itertools import accumulate, chain, repeat
 
-from .curves import km_fit
+from .curves import beyond_follow_up, km_fit
 from .dataset import TrialDataset, build_risk_table, split_by_arm
 from .logrank import TestResult
 from .pseudo import EstimandSpec, _curve_functional
@@ -36,13 +36,12 @@ def _difference_test(ds: TrialDataset, spec: EstimandSpec) -> TestResult:
     (rmst) or its value at kappa (milestone).
     """
     horizon, rmst_kind = spec.horizon, spec.kind == "rmst"
-    what = "restriction time" if rmst_kind else "milestone time"
     ds.require_two_arms()
     estimates, variance, warnings = [], 0.0, []
     for label, arm in zip(("arm 0", "arm 1"), split_by_arm(ds)):
         curve = km_fit(arm)
-        if horizon > curve.follow_up:
-            raise ValueError(f"{what} {horizon:g} beyond follow-up {curve.follow_up:g} on {label}")
+        if refusal := beyond_follow_up(horizon, curve.follow_up):
+            raise ValueError(f"{refusal} ({label})")
         estimates.append(_curve_functional(curve, spec))
         rt = build_risk_table(arm)
         coefficients = _integrals_from(curve, horizon) if rmst_kind else repeat(estimates[-1])

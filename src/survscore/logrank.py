@@ -10,7 +10,6 @@ randomization variance.
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import ClassVar
 
 from .curves import StepSurvival, km_fit
 from .dataset import RiskTable, TrialDataset, build_risk_table
@@ -30,9 +29,9 @@ class WeightSpec:
     rho: float = 0.0
     gamma: float = 0.0
     s_star: float = 1.0
-    # observed-minus-expected events on arm 1: fewer events than expected
-    # (a lower statistic, lower scores) favor arm 1, whatever the weight
-    benefit: ClassVar[str] = "lower"
+    # observed-minus-expected events on arm 1: fewer than expected (a lower statistic, lower
+    # scores) favor arm 1, whatever the weight; unannotated, so a class attribute, not a field
+    benefit = "lower"
 
     def __post_init__(self):
         if self.kind not in WEIGHT_KINDS:

@@ -16,6 +16,7 @@ from operator import mul, sub
 
 from .curves import (
     SurvivalCurve,
+    beyond_follow_up,
     fit_piecewise_exponential,
     interval_exposure,
     km_fit,
@@ -166,10 +167,6 @@ def _curve_functional(curve: SurvivalCurve, spec: EstimandSpec) -> float:
     return next(_functional(lambda h: (curve.at(h),), lambda h: (rmst(curve, h),), spec))
 
 
-def _beyond_follow_up(spec: EstimandSpec, follow_up: float) -> str:
-    return f"horizon {spec.horizon:g} beyond follow-up {follow_up:g}"
-
-
 def _km_leave_one_out(rt: RiskTable):
     """S(h) and RMST(h) of every leave-one-out Kaplan-Meier fit, as columns.
 
@@ -273,25 +270,22 @@ def _fit_group(ds: TrialDataset, spec: EstimandSpec):
 
     The leave-one-out functionals are a lazy stream in ``ds`` order.  The
     refusal is the position of the first subject whose fit the downdate
-    refuses, and why, or (None, None).
+    refuses, and why; without a position or a reason it refuses none.
     """
-    refusal = None, None
     if spec.backend == "km":
         curve = km_fit(ds)
-        if spec.horizon > curve.follow_up:
-            raise ValueError(_beyond_follow_up(spec, curve.follow_up))
+        if reason := beyond_follow_up(spec.horizon, curve.follow_up):
+            raise ValueError(reason)
         at, integral = _km_leave_one_out(build_risk_table(ds))
         # without the last subject in time order, follow-up ends at the time
         # before it in that order; without any other it stays
         second, last = ds.time_order[-2:]
-        if spec.horizon > ds.times[second]:
-            refusal = last, _beyond_follow_up(spec, ds.times[second])
+        refusal = last, beyond_follow_up(spec.horizon, ds.times[second])
     else:
         cuts = spec.breakpoints if spec.backend == "piecewise" else ()  # exponential: no cuts
         curve = fit_piecewise_exponential(ds, cuts)
         at, integral, overflow = _parametric_leave_one_out(ds, curve.breakpoints)
-        if overflow is not None:
-            refusal = overflow, "rates must be finite and nonnegative"
+        refusal = overflow, "rates must be finite and nonnegative"
     return _curve_functional(curve, spec), _functional(at, integral, spec), refusal
 
 
@@ -303,7 +297,7 @@ def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
     """
     if spec.pooling == "arm":
         groups = [
-            (f"arm{a}", [k for k, arm in enumerate(ds.arms) if arm == a], subset)
+            (f"arm {a}", [k for k, arm in enumerate(ds.arms) if arm == a], subset)
             for a, subset in enumerate(split_by_arm(ds)) if subset.n
         ]
     else:
@@ -320,7 +314,7 @@ def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
             full, estimates, (refused, reason) = _fit_group(subset, spec)
         except ValueError as exc:
             raise ValueError(f"{exc} (full fit, group {label})") from None
-        functionals[label] = full
+        functionals[label.replace(" ", "")] = full  # keyed arm0, arm1 or pooled
         n_events, events = subset.n_events, subset.events
         for position, k in enumerate(indices):
             if spec.backend == "km" and n_events - events[position] == 0:
@@ -328,7 +322,7 @@ def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
                     f"degenerate leave-one-out: removing subject {k} leaves no events"
                 )
             try:
-                if position == refused:
+                if position == refused and reason:
                     raise ValueError(reason)
                 estimate = next(estimates)
             except ValueError as exc:

@@ -83,7 +83,7 @@ def test_rmst_flat_exponential_is_tau():
 
 def test_rmst_beyond_follow_up_errors(toy):
     curve = km_fit(toy)
-    with pytest.raises(ValueError, match="restriction time beyond data"):
+    with pytest.raises(ValueError, match="^horizon 34.65 beyond follow-up 34.64$"):
         rmst(curve, toy.follow_up + 0.01)
     # exactly at follow-up is allowed
     rmst(curve, toy.follow_up)

@@ -7,11 +7,13 @@ from survscore import (
     Subject,
     TrialDataset,
     milestone_test,
+    parse_dataset,
+    pseudo_test,
     pseudo_values,
     rmst_test,
 )
 from tests import oracles
-from tests.conftest import random_dataset, tied_rows_st
+from tests.conftest import random_dataset, simulated_trial_csv, tied_rows_st
 
 
 def mirrored(base):
@@ -52,9 +54,9 @@ def test_horizon_before_first_event_degenerates():
 
 
 def test_horizon_beyond_follow_up_errors(toy):
-    with pytest.raises(ValueError, match="^restriction time 40 beyond follow-up 34.64 on arm 0$"):
+    with pytest.raises(ValueError, match=r"^horizon 40 beyond follow-up 34.64 \(arm 0\)$"):
         rmst_test(toy, 40.0)
-    with pytest.raises(ValueError, match="^milestone time 33.22 beyond follow-up 33.21 on arm 1$"):
+    with pytest.raises(ValueError, match=r"^horizon 33.22 beyond follow-up 33.21 \(arm 1\)$"):
         milestone_test(toy, 33.22)  # arm-0 follow-up ends at 34.64, arm 1 at 33.21
 
 
@@ -156,3 +158,57 @@ def test_closed_form_matches_definition_oracle(rows, kind, where, pick):
         sum(f" on arm {arm} dropped: " in w for w in result.warnings) for arm in (0, 1)
     ) == dropped
     assert len(result.warnings) == sum(dropped)
+
+
+def _both_routes(ds, kind, horizon):
+    """The closed-form statistic and the arm-mean difference of per-arm KM pseudo-values,
+    each as (statistic, None) or, refused, (None, its text)."""
+    spec = EstimandSpec(kind, **{"tau" if kind == "rmst" else "kappa": horizon})
+    routes = (lambda: (rmst_test if kind == "rmst" else milestone_test)(ds, horizon),
+              lambda: pseudo_test(pseudo_values(ds, spec)))
+    outcomes = []
+    for route in routes:
+        try:
+            outcomes.append((route().statistic, None))
+        except ValueError as exc:
+            outcomes.append((None, str(exc)))
+    return outcomes
+
+
+def _two_events_per_arm(rows):
+    return all(sum(1 for _, a, e in rows if a == arm and e) >= 2 for arm in (0, 1))
+
+
+@given(
+    rows=tied_rows_st.filter(_two_events_per_arm),
+    kind=st.sampled_from(("rmst", "milestone")),
+    horizon=st.sampled_from((0.5, 1.0, 1.5, 2.0, 2.25, 2.5, 3.0, 4.0, 5.0)),
+)
+# arm 0's second-largest time is 2: at 2.25 only the pseudo route refuses, and at 3 both
+# refuse, the pseudo route on arm 0's leave-one-out fit and the closed form on arm 1
+@example(rows=[(1.0, 0, 1), (2.0, 0, 1), (4.0, 0, 0), (1.0, 1, 1), (2.5, 1, 1), (2.5, 1, 0)],
+         kind="rmst", horizon=2.25)
+@example(rows=[(1.0, 0, 1), (2.0, 0, 1), (4.0, 0, 0), (1.0, 1, 1), (2.5, 1, 1), (2.5, 1, 0)],
+         kind="milestone", horizon=3.0)
+@settings(max_examples=300, deadline=None)
+def test_arm_means_of_km_pseudo_values_equal_the_closed_form_statistic(rows, kind, horizon):
+    """The jackknife of a KM integral is the integral (Stute & Wang, 1994), so both routes
+    give one statistic; with two events per arm every leave-one-out fit exists, and the one
+    refusal either route makes is the shared follow-up rule, which the pseudo route also
+    applies to each leave-one-out fit."""
+    ds = TrialDataset(tuple(Subject(*row) for row in rows))
+    (closed, closed_refusal), (pseudo, pseudo_refusal) = _both_routes(ds, kind, horizon)
+    if closed_refusal is None and pseudo_refusal is None:
+        assert abs(pseudo - closed) <= 1e-12 * max(1.0, abs(closed))
+    for refusal in (closed_refusal, pseudo_refusal):
+        assert refusal is None or refusal.startswith(f"horizon {horizon:g} beyond follow-up ")
+    assert pseudo_refusal is not None or closed_refusal is None  # the pseudo route refuses more
+
+
+@pytest.mark.parametrize("kind, horizon", [("rmst", 6.0), ("rmst", 18.0), ("rmst", 27.0),
+                                           ("milestone", 6.0), ("milestone", 18.0)])
+def test_routes_agree_on_a_simulated_trial(kind, horizon, tmp_path):
+    ds = parse_dataset(simulated_trial_csv(tmp_path).read_text(encoding="utf-8"))
+    (closed, closed_refusal), (pseudo, pseudo_refusal) = _both_routes(ds, kind, horizon)
+    assert (closed_refusal, pseudo_refusal) == (None, None)
+    assert pseudo == pytest.approx(closed, rel=1e-10)

@@ -103,7 +103,7 @@ def test_wmst_is_difference_of_rmst_pseudo_values(toy):
 
 def test_single_subject_group_rejected():
     ds = TrialDataset((Subject(5.0, 0, 1), Subject(6.0, 0, 1), Subject(4.0, 1, 1)))
-    with pytest.raises(ValueError, match=_whole("fitting group arm1 needs at least 2 subjects, has 1")):
+    with pytest.raises(ValueError, match=_whole("fitting group arm 1 needs at least 2 subjects, has 1")):
         pseudo_values(ds, EstimandSpec(kind="milestone", kappa=3.0, pooling="arm"))
 
 
