@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from .censoring import inject_censoring
 from .curves import StepSurvival, km_fit
-from .dataset import TrialDataset, parse_dataset, split_by_arm
+from .dataset import TrialDataset, check_arm_sizes, parse_dataset, split_by_arm
 from .km_tests import milestone_test, rmst_test
 from .logrank import WeightSpec, score_chain, standardize
 from .permutation import EXACT_HALF_SUMS_LIMIT, exact_perm_p, mc_perm_p
@@ -243,11 +243,11 @@ def parse_method_spec(text: str):
 
 def cmd_km(args) -> int:
     ds = _load(args)
+    if not args.pooled:
+        check_arm_sizes(ds.n, ds.n_arm1)
     groups = [("pooled", ds)] if args.pooled else zip((0, 1), split_by_arm(ds))
     times, survival, labels = [], [], []
     for label, sub in groups:
-        if not sub.n:
-            raise ValueError(f"arm {label} has no subjects")
         curve = km_fit(sub) if sub.n_events else StepSurvival((), (), sub.follow_up)  # flat at 1
         times += (0.0, *curve.jump_times)
         survival += (1.0, *curve.values)
@@ -332,10 +332,12 @@ def cmd_panels(args) -> int:
     panels = []
     for text, spec in zip(texts, specs):
         try:
-            scaled = spec.scaled(ds)
+            check_arm_sizes(ds.n, ds.n_arm1)  # a panel compares the arms: refused before its fit
+            panel = PlotPanel.from_values(spec.describe(), ds.times, spec.scaled(ds), ds.arms,
+                                          ds.events)
         except ValueError as exc:
             raise ValueError(f"panel {text!r}: {exc}") from None
-        panels.append(PlotPanel.from_values(spec.describe(), ds.times, scaled, ds.arms, ds.events))
+        panels.append(panel)
     _emit(render_svg(panels, columns=args.columns), args.output)
     columns = {"method": [panel.title for panel in panels for _ in panel.times]} if compare else {}
     columns.update(_subject_columns(ds, repeat=len(panels)))

@@ -161,11 +161,6 @@ class TrialDataset:
             *(column[:k] + column[k + 1 :] for column in (self.times, self.arms, self.events))
         )
 
-    def require_two_arms(self):
-        n1 = self.n_arm1
-        if not 1 <= n1 <= self.n - 1:
-            raise ValueError("two-sample operation needs subjects on both arms")
-
 
 @dataclass(frozen=True)
 class RiskTable:
@@ -254,6 +249,22 @@ def build_risk_table(ds: TrialDataset) -> RiskTable:
     new table.
     """
     return RiskTable(ds, *ds._risk_columns)
+
+
+def check_two_arms(arms, values=None) -> int:
+    """The arm-1 count of ``arms``; refuses unequal lengths, a label not 0 or 1, an empty arm."""
+    if values is not None and len(values) != len(arms):
+        raise ValueError("values and arms must have equal length")
+    if not set(arms) <= {0, 1}:
+        raise ValueError(f"arm must be 0 or 1, got {next(a for a in arms if a not in (0, 1))!r}")
+    return check_arm_sizes(len(arms), arms.count(1))
+
+
+def check_arm_sizes(n: int, n1: int) -> int:
+    """``n1`` if ``n`` subjects with ``n1`` on arm 1 leave no arm empty; refuses the empty arm."""
+    if not 0 < n1 < n:
+        raise ValueError(f"arm {0 if n1 >= n else 1} has no subjects")
+    return n1
 
 
 def split_by_arm(ds: TrialDataset) -> tuple[TrialDataset, TrialDataset]:

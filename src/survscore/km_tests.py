@@ -10,7 +10,7 @@ from bisect import bisect_left
 from itertools import accumulate, chain, repeat
 
 from .curves import beyond_follow_up, km_fit
-from .dataset import TrialDataset, build_risk_table, split_by_arm
+from .dataset import TrialDataset, build_risk_table, check_arm_sizes, split_by_arm
 from .logrank import TestResult
 from .pseudo import EstimandSpec, _curve_functional
 
@@ -36,12 +36,15 @@ def _difference_test(ds: TrialDataset, spec: EstimandSpec) -> TestResult:
     (rmst) or its value at kappa (milestone).
     """
     horizon, rmst_kind = spec.horizon, spec.kind == "rmst"
-    ds.require_two_arms()
+    check_arm_sizes(ds.n, ds.n_arm1)
     estimates, variance, warnings = [], 0.0, []
     for label, arm in zip(("arm 0", "arm 1"), split_by_arm(ds)):
-        curve = km_fit(arm)
-        if refusal := beyond_follow_up(horizon, curve.follow_up):
-            raise ValueError(f"{refusal} ({label})")
+        try:
+            curve = km_fit(arm)
+            if refusal := beyond_follow_up(horizon, curve.follow_up):
+                raise ValueError(refusal)
+        except ValueError as exc:
+            raise ValueError(f"{exc} ({label})") from None
         estimates.append(_curve_functional(curve, spec))
         rt = build_risk_table(arm)
         coefficients = _integrals_from(curve, horizon) if rmst_kind else repeat(estimates[-1])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .curves import StepSurvival, km_fit
-from .dataset import RiskTable, TrialDataset, build_risk_table
+from .dataset import RiskTable, TrialDataset, build_risk_table, check_arm_sizes, check_two_arms
 
 WEIGHT_KINDS = ("logrank", "fleming_harrington", "modest")
 
@@ -216,10 +216,7 @@ def perm_moments(values, n_arm1: int) -> tuple[float, float]:
     pseudo-values (scores already sum to zero).
     """
     n = len(values)
-    if n < 2:
-        raise ValueError("permutation moments need at least 2 subjects")
-    if not 1 <= n_arm1 <= n - 1:
-        raise ValueError("arm-1 count must leave both arms nonempty")
+    check_arm_sizes(n, n_arm1)
     mean = sum(values) / n
     try:
         ssq = sum((v - mean) ** 2 for v in values)
@@ -234,12 +231,9 @@ def perm_moments(values, n_arm1: int) -> tuple[float, float]:
 
 def mean_score_diff(values, arms) -> float:
     """Mean over arm 1 minus mean over arm 0."""
-    if len(values) != len(arms):
-        raise ValueError("values and arms must have equal length")
+    check_two_arms(arms, values)
     ones = [v for v, a in zip(values, arms) if a == 1]
     zeros = [v for v, a in zip(values, arms) if a == 0]
-    if not ones or not zeros:
-        raise ValueError("mean difference needs subjects on both arms")
     return sum(ones) / len(ones) - sum(zeros) / len(zeros)
 
 
@@ -261,7 +255,7 @@ def wlrt_test(ds: TrialDataset, spec: WeightSpec) -> TestResult:
     The attached ScoreSet is raw: the test reads no [-1, 1] map, so a trial
     whose scores are all equal tests to z 0, not to an error.
     """
-    ds.require_two_arms()
+    check_arm_sizes(ds.n, ds.n_arm1)
     rt, _, scores = score_chain(ds, spec)
     u, v = u_and_v(rt, scores.weights)
     return TestResult(spec.describe(), u, v, spec.benefit, per_subject=scores)

@@ -28,6 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 
+from .dataset import check_two_arms
 from .rng import SplitMix64
 
 EXACT_HALF_SUMS_LIMIT = 2**20  # sums held for the larger half: balanced arms up to n = 40
@@ -42,15 +43,6 @@ class MonteCarloP:
     std_error: float
     replicates: int
     seed: int
-
-
-def _check_two_arms(values, arms):
-    if len(values) != len(arms):
-        raise ValueError("values and arms must have equal length")
-    n1 = sum(1 for a in arms if a == 1)
-    if not 1 <= n1 <= len(arms) - 1:
-        raise ValueError("permutation test needs subjects on both arms")
-    return n1
 
 
 def _integer_image(values):
@@ -84,7 +76,7 @@ def _lower_tail(values, arms, direction):
     """
     if direction not in ("lower", "upper"):
         raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
-    n1 = _check_two_arms(values, arms)
+    n1 = check_two_arms(arms, values)
     scaled, window = _integer_image(values)
     if direction == "upper":
         scaled = [-v for v in scaled]

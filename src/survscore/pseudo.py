@@ -25,7 +25,7 @@ from .curves import (
     rmst,
     valid_breakpoints,
 )
-from .dataset import RiskTable, TrialDataset, build_risk_table, split_by_arm
+from .dataset import RiskTable, TrialDataset, build_risk_table, check_arm_sizes, split_by_arm
 from .logrank import TestResult, _unit_axis, mean_score_diff, perm_moments
 
 ESTIMAND_KINDS = ("rmst", "milestone", "wmst", "ahsw")
@@ -115,6 +115,7 @@ class EstimandSpec:
 
     def test(self, ds: TrialDataset) -> "TestResult":
         """The pseudo-value test of ``ds`` for this estimand."""
+        check_arm_sizes(ds.n, ds.n_arm1)  # as every two-sample test: before any fit
         return pseudo_test(pseudo_values(ds, self))
 
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
+from .dataset import check_two_arms
+
 PANEL_W = 360
 PANEL_H = 300
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 54, 14, 34, 46
@@ -63,18 +65,13 @@ class PlotPanel:
     def __post_init__(self):
         if len({len(c) for c in (self.times, self.values, self.arms, self.events)}) > 1:
             raise ValueError("panel columns must have equal lengths")
-        for name, column in (("arm", self.arms), ("event", self.events)):
-            if not set(column) <= {0, 1}:
-                bad = next(v for v in column if v not in (0, 1))
-                raise ValueError(f"{name} must be 0 or 1, got {bad!r}")
-        means = []
-        for arm in (0, 1):
-            values = [v for v, a in zip(self.values, self.arms) if a == arm]
-            if not values:
-                raise ValueError(f"panel needs points on arm {arm}")
-            # left to right, not sum(): it compensates from Python 3.12 on, moving bytes
-            means.append(reduce(add, values, 0.0) / len(values))
-        object.__setattr__(self, "arm_means", tuple(means))
+        n1 = check_two_arms(self.arms)
+        if bad := [v for v in self.events if v not in (0, 1)]:
+            raise ValueError(f"event must be 0 or 1, got {bad[0]!r}")
+        # left to right, not sum(): it compensates from Python 3.12 on, moving bytes
+        sum0, sum1 = (reduce(add, [v for v, a in zip(self.values, self.arms) if a == arm], 0.0)
+                      for arm in (0, 1))
+        object.__setattr__(self, "arm_means", (sum0 / (len(self.arms) - n1), sum1 / n1))
 
     @classmethod
     def from_values(cls, title, times, values, arms, events) -> "PlotPanel":

@@ -127,6 +127,34 @@ def test_km_refuses_an_arm_without_subjects(tmp_path, capsys, rows, arm):
     assert capsys.readouterr() == ("", f"error: arm {arm} has no subjects\n")
 
 
+@pytest.mark.parametrize("specs", [["logrank"], ["logrank", "rmst:tau=2"]], ids=["plot", "compare"])
+def test_a_panel_refusal_names_its_spec(tmp_path, capsys, specs):
+    # arm 0 is empty and the log-rank scores are valid: the panel refuses, not the fit
+    path = tmp_path / "one_arm.csv"
+    path.write_text("time,arm,event\n1,1,1\n2,1,0\n3,1,1\n", encoding="utf-8")
+    out = tmp_path / "panels.svg"
+    command = "plot" if len(specs) == 1 else "compare"
+    argv = [command, *(word for spec in specs for word in ("--spec", spec))]
+    assert run(*argv, "--input", str(path), "--output", str(out)) == 1
+    assert capsys.readouterr() == ("", "error: panel 'logrank': arm 0 has no subjects\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, arm", [
+    ("1,0,1\n2,0,1\n4,0,0\n3,1,0\n5,1,0\n", 1),
+    ("3,0,0\n5,0,0\n1,1,1\n2,1,1\n4,1,0\n", 0),
+], ids=["arm-1-censored", "arm-0-censored"])
+@pytest.mark.parametrize("method", [["rmst", "--tau", "3"], ["milestone", "--kappa", "3"]],
+                         ids=["rmst", "milestone"])
+def test_km_test_names_the_arm_without_events(tmp_path, capsys, rows, arm, method):
+    # km draws such an arm flat at 1; the closed-form test refuses it, naming the arm
+    path = tmp_path / "trial.csv"
+    path.write_text("time,arm,event\n" + rows, encoding="utf-8")
+    assert run("test", "--method", *method, "--input", str(path)) == 1
+    assert capsys.readouterr() == (
+        "", f"error: no event times: dataset contains only censored subjects (arm {arm})\n")
+
+
 def test_test_json_asymptotic(toy_csv_path, capsys):
     assert run("test", "--input", str(toy_csv_path), "--method", "logrank") == 0
     payload = json.loads(capsys.readouterr().out)
@@ -732,9 +760,10 @@ INF = re.compile(r"\binf(inity)?\b", re.IGNORECASE)  # -inf too; JSON writes Inf
 ONE_EARLY_EVENT_CSV = "time,arm,event\n1,0,1\n2,0,0\n3,0,0\n1.5,1,1\n2.5,1,1\n3.5,1,0\n"
 
 
-def _assert_contract(argv, written_paths=()):
+def _assert_contract(argv, written_paths=(), refusal=None):
     """Exit 0, 1 or 2 with no traceback; a one-line error on exit 1; no NaN printed; and on
-    exit 0 no infinity in stdout or in a written file."""
+    exit 0 no infinity in stdout or in a written file.  With ``refusal``, exit 1 with
+    exactly that error."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
@@ -748,6 +777,8 @@ def _assert_contract(argv, written_paths=()):
     if code == 1:
         assert stderr.getvalue().startswith("error:")
         assert len(stderr.getvalue().strip().splitlines()) == 1
+    if refusal is not None:
+        assert (code, stderr.getvalue()) == (1, f"error: {refusal}\n"), argv
     return code
 
 
@@ -874,18 +905,29 @@ def _trial_csv_texts(draw):
 @example(text=TINY_RATE_CSV)
 @example(text="time,arm,event\n1,0,1\n2,0,1\n3,1,1\n4,1,0\n1.7976931348623157e308,0,0\n")
 @example(text="time,arm,event\n5e-324,0,1\n5e-324,1,1\n5e-324,0,0\n5e-324,1,0\n5e-324,1,1\n")
+@example(text="time,arm,event\n1.0,1,0\n2.5,1,0\n")  # one arm, no event
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_cli_contract_on_any_trial_csv(text, tmp_path):
-    """Any trial CSV text, through every method, route and --perm mode: the CLI contract holds."""
+    """Any trial CSV text, through every method, route and --perm mode: the CLI contract holds.
+
+    On a trial with an empty arm, every two-sample command (km, test, plot) refuses it first,
+    with the one text, which a panel prefixes with its spec.
+    """
     path = tmp_path / "trial.csv"
     path.write_bytes(text.encode("utf-8"))
+    labels = {row.split(",")[1] for row in text.splitlines()[1:]}
+    empty = next((arm for arm in "01" if arm not in labels), None)
     out = tmp_path / "panel.svg"
     for argv in CONTRACT_ARGVS:
         for stale in (out, out.with_suffix(".csv")):
             stale.unlink(missing_ok=True)
+        refusal = None
+        if empty and argv[0] in ("km", "test", "plot"):
+            prefix = f"panel {argv[2]!r}: " if argv[0] == "plot" else ""
+            refusal = f"{prefix}arm {empty} has no subjects"
         argv = [str(out) if arg == OUT else arg for arg in argv] + ["--input", str(path)]
-        _assert_contract(argv, (out, out.with_suffix(".csv")))
+        _assert_contract(argv, (out, out.with_suffix(".csv")), refusal)
 
 
 @given(rows=tied_rows_st)

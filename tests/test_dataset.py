@@ -10,14 +10,19 @@ from hypothesis import strategies as st
 from survscore import (
     DataFormatError,
     EstimandSpec,
+    PlotPanel,
     Subject,
     TrialDataset,
     WeightSpec,
     build_risk_table,
+    exact_perm_p,
     inject_censoring,
     km_fit,
+    mc_perm_p,
+    mean_score_diff,
     milestone_test,
     parse_dataset,
+    perm_moments,
     rmst_test,
     split_by_arm,
 )
@@ -210,6 +215,32 @@ def test_split_single_arm_gives_empty_subset():
     arm0, arm1 = split_by_arm(ds)
     assert arm0.n == 2
     assert arm1.n == 0
+
+
+def test_two_sample_functions_share_one_arm_rule():
+    # an arm of 2 was dropped by mean_score_diff (0.6, against 0.5 as arm 0) and counted
+    # as arm 0 by the permutation tests
+    values = [0.1, 0.5, 0.3, 0.9]
+    calls = {
+        "mean_score_diff": lambda arms: mean_score_diff(values, arms),
+        "exact_perm_p": lambda arms: exact_perm_p(values, arms),
+        "mc_perm_p": lambda arms: mc_perm_p(values, arms, 10, 0),
+        "PlotPanel": lambda arms: PlotPanel("x", (1.0, 2.0, 3.0, 4.0), tuple(values),
+                                            tuple(arms), (1, 1, 1, 1)),
+    }
+    for call in calls.values():
+        for arms, text in (([0, 1, 2, 1], "arm must be 0 or 1, got 2"),
+                           ([0, 0, 0, 0], "arm 1 has no subjects"),
+                           ([1, 1, 1, 1], "arm 0 has no subjects")):
+            with pytest.raises(ValueError, match=f"^{text}$"):
+                call(arms)
+        call([1, 0, 0, 1])  # both arms, labels 0 and 1: no refusal
+    for name in ("mean_score_diff", "exact_perm_p", "mc_perm_p"):
+        with pytest.raises(ValueError, match="^values and arms must have equal length$"):
+            calls[name]([0, 1, 2])  # the length is checked before the labels
+    for args, arm in (((values, 0), 1), (([1.0], 1), 0), (([], 0), 0), ((values, 4), 0)):
+        with pytest.raises(ValueError, match=f"^arm {arm} has no subjects$"):
+            perm_moments(*args)
 
 
 @given(subjects_st)

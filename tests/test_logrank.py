@@ -243,7 +243,7 @@ def test_mean_score_diff(toy_parts):
     scale = 2.0 / (max(scores.values) - min(scores.values))
     assert diff == pytest.approx(scale * raw_diff, abs=1e-12)
     assert mean_score_diff([1.0, 1.0], [0, 1]) == 0.0
-    with pytest.raises(ValueError, match="both arms"):
+    with pytest.raises(ValueError, match="^arm 0 has no subjects$"):
         mean_score_diff([1.0, 2.0], [1, 1])
 
 
@@ -274,7 +274,7 @@ def test_wlrt_fh00_and_modest1_coincide_with_logrank(toy):
 
 def test_wlrt_requires_two_arms():
     ds = TrialDataset((Subject(1.0, 0, 1), Subject(2.0, 0, 1)))
-    with pytest.raises(ValueError, match="both arms"):
+    with pytest.raises(ValueError, match="^arm 1 has no subjects$"):
         wlrt_test(ds, WeightSpec.logrank())
 
 

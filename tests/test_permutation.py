@@ -124,7 +124,7 @@ def test_exact_tie_window_boundary():
 
 
 def test_exact_requires_both_arms():
-    with pytest.raises(ValueError, match="both arms"):
+    with pytest.raises(ValueError, match="^arm 0 has no subjects$"):
         exact_perm_p([1.0, 2.0], [1, 1], "lower")
     with pytest.raises(ValueError, match="direction"):
         exact_perm_p([1.0, 2.0], [0, 1], "sideways")
