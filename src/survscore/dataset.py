@@ -255,15 +255,22 @@ def check_two_arms(arms, values=None) -> int:
     """The arm-1 count of ``arms``; refuses unequal lengths, a label not 0 or 1, an empty arm."""
     if values is not None and len(values) != len(arms):
         raise ValueError("values and arms must have equal length")
-    if not set(arms) <= {0, 1}:
+    try:
+        known = set(arms) <= {0, 1}
+    except TypeError:  # an unhashable label is not 0 or 1 either
+        known = False
+    if not known:
         raise ValueError(f"arm must be 0 or 1, got {next(a for a in arms if a not in (0, 1))!r}")
     return check_arm_sizes(len(arms), arms.count(1))
 
 
 def check_arm_sizes(n: int, n1: int) -> int:
-    """``n1`` if ``n`` subjects with ``n1`` on arm 1 leave no arm empty; refuses the empty arm."""
+    """``n1`` if ``n`` subjects with ``n1`` on arm 1 leave no arm empty; refuses a count
+    outside [0, n], then the empty arm."""
+    if not 0 <= n1 <= n:
+        raise ValueError(f"arm-1 count {n1} out of range for {n} subjects")
     if not 0 < n1 < n:
-        raise ValueError(f"arm {0 if n1 >= n else 1} has no subjects")
+        raise ValueError(f"arm {0 if n1 == n else 1} has no subjects")
     return n1
 
 

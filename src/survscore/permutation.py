@@ -21,11 +21,20 @@ would otherwise break exact ties between differently-composed subsets --
 while staying astronomically below any genuine gap in non-degenerate data.
 p-values are therefore invariant under rescaling, and bit-identical across
 runs and schedules.
+
+The Monte-Carlo replicates are split into contiguous chunks across the CPUs
+this process may use, one forked worker per chunk past the first, but only
+when each worker gets at least _MIN_WORKER_DRAWS draws, and never with a
+second thread alive.  Replicate r depends only on (seed, r), so the output is
+byte-identical to one CPU's; every worker is reaped before mc_perm_p returns.
 """
 
 import math
+import os
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 from .dataset import check_two_arms
@@ -33,6 +42,7 @@ from .rng import SplitMix64
 
 EXACT_HALF_SUMS_LIMIT = 2**20  # sums held for the larger half: balanced arms up to n = 40
 _TIE_WINDOW_SHIFT = 41  # window = spread / 2, right-shifted by 40
+_MIN_WORKER_DRAWS = 2**16  # 12-20 ms of draws, against about 2 ms to fork and reap a worker
 
 
 @dataclass(frozen=True)
@@ -145,6 +155,62 @@ def _count_at_most(scaled, n1, bound) -> int:
     )
 
 
+def _extreme(scaled, n1, bound, seed, start, stop) -> int:
+    """How many replicates in range(start, stop) draw an arm-1 sum <= bound."""
+    root = SplitMix64(seed)
+    return sum(sum(root.substream(r).sample(scaled, n1)) <= bound for r in range(start, stop))
+
+
+def _workers(draws: int) -> int:
+    """The CPUs this process may use, each given _MIN_WORKER_DRAWS draws or more;
+    1 without os.fork or with a second thread alive (threading is not imported here)."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, draws // _MIN_WORKER_DRAWS))
+
+
+def _count_extreme(scaled, n1, bound, seed, replicates) -> int:
+    """_extreme over all replicates, one contiguous chunk per worker.  Workers 1..W-1
+    are forked children that each write one "start count" line to a shared pipe; the
+    parent counts chunk 0, reads the pipe to its end, reaps every child, and counts each
+    chunk left without a line (its fork was refused, or its child raised and exited 1)."""
+    count = partial(_extreme, scaled, n1, bound, seed)
+    workers = _workers(replicates * n1)
+    if workers == 1:
+        return count(0, replicates)
+    cuts = [replicates * w // workers for w in range(workers + 1)]
+    counted = {}  # chunk start -> its count
+    children = []  # every child not yet reaped
+    parent = os.getpid()
+    read, write = os.pipe()
+    with open(read, "rb") as reader, open(write, "wb", buffering=0) as writer:
+        try:
+            for start, stop in zip(cuts[1:-1], cuts[2:]):
+                try:
+                    pid = os.fork()
+                except OSError:  # e.g. at RLIMIT_NPROC: the parent counts the rest
+                    break
+                if pid == 0:
+                    writer.write(b"%d %d\n" % (start, count(start, stop)))
+                    os._exit(0)
+                children.append(pid)
+            writer.close()
+            counted[0] = count(cuts[0], cuts[1])
+            counted.update(map(int, line.split()) for line in reader)  # until the last exits
+            while children:
+                os.waitpid(children[-1], 0)
+                children.pop()
+        finally:
+            if os.getpid() != parent:  # a child that raised: never back into the caller's stack
+                os._exit(1)
+            for pid in children:  # interrupted: no child outlives the call
+                os.kill(pid, 9)  # SIGKILL, without importing signal
+                os.waitpid(pid, 0)
+    return sum(counted[a] if a in counted else count(a, b) for a, b in zip(cuts, cuts[1:]))
+
+
 def mc_perm_p(values, arms, replicates: int, seed: int, direction: str = "lower") -> MonteCarloP:
     """Monte-Carlo permutation p-value with the add-one estimator.
 
@@ -157,11 +223,5 @@ def mc_perm_p(values, arms, replicates: int, seed: int, direction: str = "lower"
     n1, scaled, bound = _lower_tail(values, arms, direction)
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    root = SplitMix64(seed)
-    extreme = 0
-    for r in range(replicates):
-        if sum(root.substream(r).sample(scaled, n1)) <= bound:
-            extreme += 1
-    p = (1 + extreme) / (replicates + 1)
+    p = (1 + _count_extreme(scaled, n1, bound, seed, replicates)) / (replicates + 1)
     return MonteCarloP(p, math.sqrt(p * (1.0 - p) / replicates), replicates, seed)
-

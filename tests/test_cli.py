@@ -529,16 +529,18 @@ def test_bad_choice_word_outside_options_is_one_line_error(argv, flag, expected,
 
 def test_cli_import_loads_no_xml_network_or_hashing_module():
     """Nor pathlib or typing: files are opened with open() and os.path, and a class constant
-    needs no ClassVar."""
+    needs no ClassVar.  Nor process or thread machinery: the Monte-Carlo workers are plain
+    forks.  The cold start loads at most 104 modules in all."""
     probe = ("import sys, survscore.cli as cli; cli.build_parser(); "
              "print('\\n'.join(sys.modules))")
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
     banned = ("xml", "http", "email", "ssl", "socket", "hashlib", "html", "urllib.request",
-              "pathlib", "typing")
-    loaded = [name for name in done.stdout.split()
-              if any(name == b or name.startswith(b + ".") for b in banned)]
+              "pathlib", "typing", "threading", "multiprocessing", "concurrent", "subprocess")
+    modules = done.stdout.split()
+    loaded = [name for name in modules if any(name == b or name.startswith(b + ".") for b in banned)]
     assert loaded == []
+    assert len(modules) <= 104
 
 
 @pytest.mark.parametrize("word", ["log", "ratio", "yes", ""])

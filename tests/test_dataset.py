@@ -243,6 +243,21 @@ def test_two_sample_functions_share_one_arm_rule():
             perm_moments(*args)
 
 
+def test_unhashable_arm_label_gets_the_shared_refusal():
+    # set(arms) raised "TypeError: unhashable type: 'list'"
+    values = [1.0, 2.0, 3.0]
+    for call in (mean_score_diff, exact_perm_p, lambda v, a: mc_perm_p(v, a, 10, 0)):
+        with pytest.raises(ValueError, match=r"^arm must be 0 or 1, got \[1\]$"):
+            call(values, [0, [1], 1])
+
+
+@pytest.mark.parametrize("n1", [-1, 3, 5])
+def test_arm_one_count_outside_the_subjects_is_refused_as_such(n1):
+    # a count above n read "arm 0 has no subjects", as if it were n
+    with pytest.raises(ValueError, match=f"^arm-1 count {n1} out of range for 2 subjects$"):
+        perm_moments([1.0, 2.0], n1)
+
+
 @given(subjects_st)
 @settings(max_examples=60, deadline=None)
 def test_split_is_a_partition(ds):

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from survscore import (
     exact_perm_p,
     mc_perm_p,
     parse_dataset,
+    permutation,
     wlrt_test,
 )
 from survscore.rng import SplitMix64
@@ -228,3 +232,106 @@ def test_mc_convergence_across_seeds(toy):
     )
     assert hits >= 99
 
+
+def mc_case(n=40, n1=13):
+    rng = random.Random(n * 1000 + n1)
+    values = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+    arms = [0] * (n - n1) + [1] * n1
+    rng.shuffle(arms)
+    return values, arms
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("direction", ["lower", "upper"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_mc_split_over_workers_matches_sequential_oracle(monkeypatch, workers, direction):
+    # 1,001 replicates do not split evenly over 2 or 3 workers
+    monkeypatch.setattr(permutation, "_workers", lambda draws: workers)
+    values, arms = mc_case()
+    got = mc_perm_p(values, arms, 1001, 5, direction)
+    assert_no_child_left()
+    assert got.p == float(oracles.sequential_mc_perm_p(values, arms, 1001, 5, direction))
+
+
+def test_mc_interrupted_parent_kills_and_reaps_every_child(monkeypatch):
+    parent, real_extreme = os.getpid(), permutation._extreme
+
+    def extreme(*args):
+        if os.getpid() != parent:
+            time.sleep(60)  # a child still counting when the parent stops
+            return real_extreme(*args)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(permutation, "_extreme", extreme)
+    monkeypatch.setattr(permutation, "_workers", lambda draws: 3)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        mc_perm_p(*mc_case(), 1001, 5)
+    assert_no_child_left()
+    assert time.perf_counter() - start < 30
+
+
+def test_mc_counts_in_the_parent_when_fork_is_refused(monkeypatch):
+    def refuse():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    values, arms = mc_case()
+    want = mc_perm_p(values, arms, 1001, 5)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(permutation, "_workers", lambda draws: 3)
+    assert mc_perm_p(values, arms, 1001, 5) == want
+    assert_no_child_left()
+
+
+def test_mc_recounts_the_chunk_of_a_failed_child(monkeypatch):
+    parent, real_extreme = os.getpid(), permutation._extreme
+    in_parent = []
+
+    def extreme(*args):
+        start, stop = args[-2:]
+        if os.getpid() != parent and start == 333:
+            os._exit(1)  # the child of chunk [333, 667) writes no count
+        if os.getpid() == parent:
+            in_parent.append((start, stop))
+        return real_extreme(*args)
+
+    values, arms = mc_case()
+    want = mc_perm_p(values, arms, 1001, 5)
+    monkeypatch.setattr(permutation, "_extreme", extreme)
+    monkeypatch.setattr(permutation, "_workers", lambda draws: 3)
+    assert mc_perm_p(values, arms, 1001, 5) == want
+    assert_no_child_left()
+    assert in_parent == [(0, 333), (333, 667)]
+
+
+def test_mc_worker_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    least = permutation._MIN_WORKER_DRAWS
+    assert [permutation._workers(d) for d in (1, least - 1, 2 * least, 10**9)] == [1, 1, 2, 2]
+    monkeypatch.delattr(os, "fork")
+    assert permutation._workers(10**9) == 1
+
+
+def test_mc_never_forks_with_a_second_thread_alive(monkeypatch):
+    def fork():
+        raise AssertionError("forked with a second thread alive")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    values, arms = mc_case(300, 150)
+    replicates = 2 * permutation._MIN_WORKER_DRAWS // 150 + 1
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert permutation._workers(replicates * 150) == 1
+        got = mc_perm_p(values, arms, replicates, 5)
+    finally:
+        release.set()
+        thread.join()
+    assert permutation._workers(replicates * 150) == 2
+    assert got.p == float(oracles.sequential_mc_perm_p(values, arms, replicates, 5, "lower"))
