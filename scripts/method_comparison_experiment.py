@@ -41,14 +41,15 @@ CENSORED_GRID = [
 
 
 def compare(input_path, specs, output, columns=3):
+    """Draw one grid; returns the CLI's exit code."""
     argv = ["compare", "--input", str(input_path), "--output", str(output),
             "--columns", str(columns)]
     for spec in specs:
         argv += ["--spec", spec]
     code = survscore_main(argv)
-    if code != 0:
-        raise SystemExit(code)
-    print(f"wrote {output}")
+    if code == 0:
+        print(f"wrote {output}")
+    return code
 
 
 def main(argv=None):
@@ -63,18 +64,17 @@ def main(argv=None):
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    compare(args.input, MAIN_GRID, out / "main_grid.svg")
-    compare(args.input, FH_GRID, out / "fh_grid.svg", columns=2)
-
     censored_csv = out / "censored_input.csv"
-    code = survscore_main([
-        "censor", "--input", args.input, "--output", str(censored_csv),
-        "--max", str(args.censor_max), "--seed", str(args.seed),
-    ])
-    if code != 0:
-        raise SystemExit(code)
-    compare(censored_csv, CENSORED_GRID, out / "censored_grid.svg", columns=2)
-    return 0
+    # each step runs only if every earlier one succeeded; the first nonzero code is returned
+    return (
+        compare(args.input, MAIN_GRID, out / "main_grid.svg")
+        or compare(args.input, FH_GRID, out / "fh_grid.svg", columns=2)
+        or survscore_main([
+            "censor", "--input", args.input, "--output", str(censored_csv),
+            "--max", str(args.censor_max), "--seed", str(args.seed),
+        ])
+        or compare(censored_csv, CENSORED_GRID, out / "censored_grid.svg", columns=2)
+    )
 
 
 if __name__ == "__main__":

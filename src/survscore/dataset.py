@@ -274,6 +274,13 @@ def check_arm_sizes(n: int, n1: int) -> int:
     return n1
 
 
+def benefit_sign(benefit) -> int:
+    """1 for "lower" (a smaller statistic favors arm 1), -1 for "upper"; refuses other words."""
+    if benefit not in ("lower", "upper"):
+        raise ValueError(f"benefit direction must be 'lower' or 'upper', got {benefit!r}")
+    return 1 if benefit == "lower" else -1
+
+
 def split_by_arm(ds: TrialDataset) -> tuple[TrialDataset, TrialDataset]:
     """Control-arm and experimental-arm subsets, each preserving order.
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .curves import StepSurvival, km_fit
-from .dataset import RiskTable, TrialDataset, build_risk_table, check_arm_sizes, check_two_arms
+from .dataset import (RiskTable, TrialDataset, benefit_sign, build_risk_table, check_arm_sizes,
+                      check_two_arms)
 
 WEIGHT_KINDS = ("logrank", "fleming_harrington", "modest")
 
@@ -106,8 +107,7 @@ class TestResult:
     per_subject: object | None = None
 
     def __post_init__(self):
-        if self.benefit not in ("lower", "upper"):
-            raise ValueError(f"benefit must be 'lower' or 'upper', got {self.benefit!r}")
+        benefit_sign(self.benefit)
 
     @property
     def z(self) -> float:
@@ -121,8 +121,7 @@ class TestResult:
     @property
     def p_one_sided(self) -> float:
         """Normal one-sided p-value, small when z lies on the ``benefit`` tail."""
-        z = self.z
-        return normal_cdf(z if self.benefit == "lower" else -z)
+        return normal_cdf(benefit_sign(self.benefit) * self.z)
 
 
 def normal_cdf(x: float) -> float:
@@ -188,16 +187,15 @@ def compute_scores(rt: RiskTable, weights, spec: WeightSpec | None = None) -> Sc
 
 
 def _unit_axis(values, benefit: str, what: str) -> tuple[float, ...]:
-    """The one affine map onto [-1, 1]: by distances to both ends, the ``benefit``
-    end to -1 and the other to 1 exactly; the "upper" map negates the "lower" one."""
+    """The one affine map onto [-1, 1]: by distances to both ends, the ``benefit`` end
+    to -1 and the other to 1 exactly; "upper" is the "lower" map of the negated values."""
+    if benefit_sign(benefit) < 0:
+        values = [-v for v in values]
     hi, lo = max(values), min(values)
     if hi == lo:
         raise ValueError(f"degenerate {what} range: all {what}s equal")
     span = hi - lo
-    if benefit == "lower":
-        scaled = tuple(((v - lo) - (hi - v)) / span for v in values)
-    else:
-        scaled = tuple(((hi - v) - (v - lo)) / span for v in values)
+    scaled = tuple(((v - lo) - (hi - v)) / span for v in values)
     if not all(map(math.isfinite, scaled)):
         k = next(k for k, value in enumerate(scaled) if not math.isfinite(value))
         raise ValueError(f"scaled {what} of subject {k} is not finite")

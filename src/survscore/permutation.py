@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 
-from .dataset import check_two_arms
+from .dataset import benefit_sign, check_two_arms
 from .rng import SplitMix64
 
 EXACT_HALF_SUMS_LIMIT = 2**20  # sums held for the larger half: balanced arms up to n = 40
@@ -80,15 +80,15 @@ def _lower_tail(values, arms, direction):
     """A one-sided test's counting problem, turned onto its lower tail.
 
     Returns the arm-1 count, the exact integer image of the values --
-    negated for "upper", so that a larger arm-1 sum is a smaller one --
-    and the bound: an assignment is at least as extreme as the observed
-    one, ties included, when its arm-1 sum of the image is <= bound.
+    negated when benefit_sign(direction) is -1 ("upper"), so that a larger
+    arm-1 sum is a smaller one -- and the bound: an assignment is at least
+    as extreme as the observed one, ties included, when its arm-1 sum of
+    the image is <= bound.
     """
-    if direction not in ("lower", "upper"):
-        raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
+    sign = benefit_sign(direction)
     n1 = check_two_arms(arms, values)
     scaled, window = _integer_image(values)
-    if direction == "upper":
+    if sign < 0:
         scaled = [-v for v in scaled]
     observed = sum(v for v, a in zip(scaled, arms) if a == 1)
     return n1, scaled, observed + window
@@ -104,10 +104,9 @@ def exact_perm_p(values, arms, direction: str = "lower") -> float:
     n1, scaled, bound = _lower_tail(values, arms, direction)
     n = len(scaled)
     if _half_sums_held(n, min(n1, n - n1)) > EXACT_HALF_SUMS_LIMIT:
-        raise ValueError(
-            f"exact counting for {n1} of {n} subjects on arm 1 would hold more than "
-            f"{EXACT_HALF_SUMS_LIMIT} half-subset sums; use the Monte-Carlo test (mc_perm_p)"
-        )
+        raise ValueError(f"exact counting for {n1} of {n} subjects on arm 1 would hold more than "
+                         f"{EXACT_HALF_SUMS_LIMIT} half-subset sums; use the Monte-Carlo test "
+                         f"(mc_perm_p; --perm mc on the command line)")
     return _count_at_most(scaled, n1, bound) / math.comb(n, n1)
 
 

@@ -214,6 +214,17 @@ def jackknife_pseudo(ds, kind, backend, pooling, **params):
     return out
 
 
+def upper_unit_axis(values):
+    """The "upper" [-1, 1] map by its own formula, highest value to -1 and lowest to 1, or
+    None where the package refuses the map (all values equal, or a non-finite result)."""
+    hi, lo = max(values), min(values)
+    if hi == lo:
+        return None
+    span = hi - lo
+    scaled = tuple(((hi - v) - (v - lo)) / span for v in values)
+    return scaled if all(map(math.isfinite, scaled)) else None
+
+
 def _tie_bound(values, observed, direction):
     """The package's documented tie rule: sums within 2^-41 of the value
     spread from the observed sum count as ties."""

@@ -192,6 +192,25 @@ def test_test_exact_permutation_size_limit(tmp_path, capsys):
             assert out == "" and err.count("\n") == 1 and "Monte-Carlo" in err
 
 
+def test_exact_refusal_names_the_monte_carlo_flag(tmp_path, capsys):
+    # it named only the library function mc_perm_p
+    trial = simulated_trial_csv(tmp_path)
+    assert run("test", "--input", str(trial), "--method", "logrank", "--perm", "exact") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "--perm mc" in err
+
+
+def test_experiment_returns_the_code_of_its_first_failing_step(toy_csv_path, tmp_path, capsys):
+    # compare() raised SystemExit(1) out of main, so main never returned 1
+    out = tmp_path / "experiment"
+    argv = ["--input", str(toy_csv_path), "--output-dir", str(out), "--censor-max", "5"]
+    assert EXPERIMENT.main(argv) == 1
+    assert (out / "main_grid.svg").is_file() and (out / "fh_grid.svg").is_file()
+    assert not (out / "censored_grid.svg").exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: panel 'logrank': no event times")
+
+
 def test_test_mc_permutation_deterministic(toy_csv_path, capsys):
     args = (
         "test", "--input", str(toy_csv_path), "--method", "pseudo",

@@ -26,6 +26,7 @@ from survscore import (
     rmst_test,
     split_by_arm,
 )
+from survscore import logrank
 from survscore.rng import SplitMix64
 from tests import oracles
 from tests.conftest import TOY_CSV, tied_rows_st
@@ -241,6 +242,17 @@ def test_two_sample_functions_share_one_arm_rule():
     for args, arm in (((values, 0), 1), (([1.0], 1), 0), (([], 0), 0), ((values, 4), 0)):
         with pytest.raises(ValueError, match=f"^arm {arm} has no subjects$"):
             perm_moments(*args)
+
+
+def test_benefit_words_share_one_refusal():
+    # TestResult said "benefit must be ..." and the permutation tests "direction must be ..."
+    values, arms = [0.1, 0.5, 0.3, 0.9], [1, 0, 0, 1]
+    for call in (lambda: logrank.TestResult("t", 1.0, 1.0, "sideways"),
+                 lambda: exact_perm_p(values, arms, "sideways"),
+                 lambda: mc_perm_p(values, arms, 10, 0, "sideways")):
+        with pytest.raises(ValueError, match="^benefit direction must be 'lower' or 'upper', "
+                                             "got 'sideways'$"):
+            call()
 
 
 def test_unhashable_arm_label_gets_the_shared_refusal():

@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import pytest
@@ -298,6 +299,42 @@ def test_result_tails_are_complementary(z, variance):
     # the other tail is computed on its own, not as 1 - p
     assert upper.p_one_sided == logrank.normal_cdf(-lower.z)
     assert replace(upper, benefit="lower").p_one_sided == logrank.normal_cdf(lower.z)
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, math.inf, -math.inf, 1.5, -1.5])
+def test_p_one_sided_orients_z_by_the_benefit(z):
+    for benefit, oriented in (("lower", z), ("upper", -z)):
+        result = logrank.TestResult("t", z, 1.0, benefit)
+        assert result.z.hex() == z.hex()
+        assert result.p_one_sided.hex() == logrank.normal_cdf(oriented).hex()
+
+
+def _packed(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.0**1022, -(2.0**1022),
+                                2.0**1023, -(2.0**1023), 1.7976931348623157e308,
+                                -1.7976931348623157e308])
+
+
+@given(st.lists(st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False)), min_size=1, max_size=10)
+       .flatmap(lambda xs: st.permutations(xs + [max(xs), min(xs)])))
+@example([0.0, -0.0, 1.0, -0.0, 0.0, 1.0])
+@example([-1.0, 0.0, 1.0, 1.0])
+@example([-0.0, 0.0, 2.0, -0.0])
+@example([-(2.0**1023), 2.0**1023, 0.0, -(2.0**1023)])
+@example([1.7976931348623157e308, 1.7976931348623157e308, 1.0])
+@settings(max_examples=300)
+def test_upper_unit_axis_matches_its_own_formula_bit_for_bit(values):
+    # the "upper" map is the "lower" map of the negated values; each intermediate is the
+    # same IEEE operation as the direct formula's, so signed zeros land in the same places
+    want = oracles.upper_unit_axis(values)
+    if want is None:
+        with pytest.raises(ValueError, match="degenerate value range|scaled value of subject"):
+            logrank._unit_axis(values, "upper", "value")
+    else:
+        assert _packed(logrank._unit_axis(values, "upper", "value")) == _packed(want)
 
 
 def test_result_refuses_unknown_benefit():
