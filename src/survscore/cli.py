@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -162,46 +163,62 @@ def _mc_perm(result, ds, args) -> dict:
 
 
 PERM_MODES = {"exact": _exact_perm, "mc": _mc_perm}  # --perm word -> its JSON object
-CHOICES = {  # dest -> (flag, its words), for the choice flags that are not OPTIONS rows
+CHOICES = {  # dest -> (flag, parser of its text), for the flags that are not OPTIONS rows
     "format": ("--format", ("csv", "json")),
     **{dest: (f"--{dest}", tuple(name for name, (_, _, lists, _) in METHODS.items()
                                  if dest in lists)) for dest in ("test", "method", "estimand")},
     "perm": ("--perm", tuple(PERM_MODES)),
+    "replicates": ("--replicates", int), "seed": ("--seed", int), "max": ("--max", float),
+    "columns": ("--columns", int),
 }
 
 
-def _method_spec(name: str, texts: dict, spell=str, where: str = "", reads=None):
+def _quoted(text: str) -> str:
+    """``text`` quoted after a space, or nothing when a word of it (split at , : =) reads as
+    NaN, which no message prints."""
+    nan = any(word.strip().lower().lstrip("+-") == "nan" for word in re.split("[,:=]", text))
+    return "" if nan else f" {text!r}"
+
+
+def _read(flag: str, parse, text):
+    """``text`` read by ``parse``: a function, or the words ``flag`` admits, which a dict maps
+    to their values.  Every flag and spec value is read here, and refused in one way."""
+    try:
+        if callable(parse):
+            return parse(text)
+        if text in parse:
+            return parse[text] if isinstance(parse, dict) else text
+    except ValueError:
+        pass
+    expected = "" if callable(parse) else f": expected {', '.join(parse)}"
+    raise ValueError(f"bad {flag}{_quoted(text)}{expected}")
+
+
+def _method_spec(name: str, texts: dict, spell=str, reads=None):
     """The weight or estimand spec of method ``name``; the one spec builder.
 
     ``texts`` holds the text of each option the user gave, keyed as in
     ``OPTIONS``; an absent one takes its default text.  A key outside
     ``reads`` (default: all its ``METHODS`` row reads), a read key with
     neither text nor default, a text its parser refuses, breakpoints
-    without pwexp or a spec its builder refuses is refused: the message
-    starts with ``where`` and names each key as ``spell`` writes it.
+    without pwexp or a spec its builder refuses is refused, naming each
+    key as ``spell`` writes it.
     """
     keys, build, _, _ = METHODS[name]
     reads = keys if reads is None else reads
     unread = sorted(spell(key) for key in texts if key not in reads)
     if unread:
-        raise ValueError(f"{where}unknown keys for {name}: {', '.join(unread)}")
+        raise ValueError(f"unknown keys for {name}: {', '.join(unread)}")
     values = {}
     for key in reads:
         _, parse, default, _ = OPTIONS[key]
         text = texts.get(key, default)
         if text is None:
-            raise ValueError(f"{where}{name} requires {spell(key)}")
-        try:
-            values[key] = parse[text] if isinstance(parse, dict) else parse(text)
-        except (KeyError, ValueError):
-            expected = f": expected {', '.join(parse)}" if isinstance(parse, dict) else ""
-            raise ValueError(f"{where}bad {spell(key)} {text!r}{expected}") from None
+            raise ValueError(f"{name} requires {spell(key)}")
+        values[key] = _read(spell(key), parse, text)
     if "breakpoints" in texts and values["backend"] != "piecewise":
-        raise ValueError(f"{where}{spell('breakpoints')}: read only with {spell('backend')} pwexp")
-    try:
-        return build(**values)
-    except ValueError as exc:
-        raise ValueError(f"{where}{exc}") from None
+        raise ValueError(f"{spell('breakpoints')}: read only with {spell('backend')} pwexp")
+    return build(**values)
 
 
 def _flag_spec(name: str, args, reads=None):
@@ -220,25 +237,22 @@ def parse_method_spec(text: str):
     """
     name, _, rest = text.partition(":")
     name = name.strip()
-    # no diagnostic prints NaN (no option admits it): a spec with a NaN value goes by its method
-    words = ":".join(pair.partition("=")[2] for pair in rest.split(",")).lower().split(":")
-    nan = any(word.strip() in ("nan", "+nan", "-nan") for word in words)
-    where = f"bad method spec {name if nan else repr(text)}: "
-    if METHODS.get(name, (None, None))[1] is None:  # pseudo names a test route, not a spec
-        raise ValueError(f"{where}unknown method {name!r}")
-    texts = {}
-    for pair in rest.split(",") if rest else ():
-        key, sep, value = (part.strip() for part in pair.partition("="))
-        if not sep:
-            raise ValueError(f"{where}expected key=value, got {pair!r}")
-        if key in texts:
-            raise ValueError(f"{where}{key} given twice")
-        if key == "log":  # log=on|off spells --ahsw-scale log|ratio, and no other word does
-            if value not in ("on", "off"):
-                raise ValueError(f"{where}bad log {value!r}: expected on or off")
-            value = "log" if value == "on" else "ratio"
-        texts[key] = value
-    return _method_spec(name, texts, where=where)
+    try:
+        if METHODS.get(name, (None, None))[1] is None:  # pseudo names a test route, not a spec
+            raise ValueError(f"unknown method{_quoted(name)}")
+        texts = {}
+        for pair in rest.split(",") if rest else ():
+            key, sep, value = (part.strip() for part in pair.partition("="))
+            if not sep:
+                raise ValueError(f"expected key=value, got {pair!r}")
+            if key in texts:
+                raise ValueError(f"{key} given twice")
+            # log=on|off spells --ahsw-scale log|ratio, and no other word does
+            texts[key] = _read(key, {"on": "log", "off": "ratio"}, value) if key == "log" else value
+        return _method_spec(name, texts)
+    except ValueError as exc:  # a spec with a NaN word goes by its method, or by nothing
+        label = _quoted(text) or (f" {name}" if _quoted(name) else "")
+        raise ValueError(f"bad method spec{label}: {exc}") from None
 
 
 def cmd_km(args) -> int:
@@ -323,6 +337,8 @@ def cmd_censor(args) -> int:
 
 def cmd_panels(args) -> int:
     """plot (one --spec) or compare (several): an SVG plus a CSV of its points, panel by panel."""
+    if not args.output:
+        raise ValueError("plot and compare require --output")
     compare = args.command == "compare"
     texts = args.spec if compare else [args.spec]
     if compare and len(texts) < 2:
@@ -346,34 +362,21 @@ def cmd_panels(args) -> int:
     return 0
 
 
-def _listed(words) -> str:
-    """The metavar of a choice flag: its words listed, not enforced by argparse, so that
-    a bad word is refused with one error line (by _method_spec or _check_choices)."""
-    return "{" + ",".join(words) + "}"
+def _add_flag(parser, dest: str, **kwargs) -> None:
+    """The flag of the ``CHOICES`` or ``OPTIONS`` row ``dest``.  Its text is read by _read, not
+    by argparse, so a bad one is one error line; a word flag lists its words as its metavar."""
+    flag, parse = CHOICES[dest] if dest in CHOICES else OPTIONS[dest][:2]
+    metavar = None if callable(parse) else "{" + ",".join(parse) + "}"
+    parser.add_argument(flag, dest=dest, metavar=metavar, **kwargs)
 
 
 def _add_method_flags(parser, *dests) -> None:
     """In ``OPTIONS`` order, a flag per key read by a method that a ``dests`` flag lists."""
     read = {key for keys, _, lists, _ in METHODS.values() if set(lists) & set(dests)
             for key in keys}
-    for key, (flag, parse, default, text) in OPTIONS.items():
+    for key, (_, _, default, text) in OPTIONS.items():
         if key in read:
-            metavar = _listed(parse) if isinstance(parse, dict) else None
-            parser.add_argument(flag, dest=key, metavar=metavar,
-                                help=text if default is None else f"{text} (default: {default})")
-
-
-def _add_choice_flag(parser, dest: str, **kwargs) -> None:
-    flag, words = CHOICES[dest]
-    parser.add_argument(flag, dest=dest, metavar=_listed(words), **kwargs)
-
-
-def _check_choices(args) -> None:
-    """Refuse a word no ``CHOICES`` flag admits, in the wording of _method_spec."""
-    for dest, (flag, words) in CHOICES.items():
-        word = getattr(args, dest, None)
-        if word is not None and word not in words:
-            raise ValueError(f"bad {flag} {word!r}: expected {', '.join(words)}")
+            _add_flag(parser, key, help=text if default is None else f"{text} (default: {default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", required=True, help="input CSV (time,arm,event)")
     common.add_argument("--output", default=None, help="output path (default: stdout)")
     tabular = argparse.ArgumentParser(add_help=False)
-    _add_choice_flag(tabular, "format", default="csv")
+    _add_flag(tabular, "format", default="csv")
 
     parser = argparse.ArgumentParser(
         prog="survscore",
@@ -395,33 +398,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scores", parents=[common, tabular],
                        help="weighted log-rank scores per subject")
-    _add_choice_flag(p, "test", default="logrank", help="weight function (default: logrank)")
+    _add_flag(p, "test", default="logrank", help="weight function (default: logrank)")
     _add_method_flags(p, "test")
     p.set_defaults(func=cmd_scores)
 
     p = sub.add_parser("pseudo", parents=[common, tabular],
                        help="jackknife pseudo-values per subject")
-    _add_choice_flag(p, "estimand", required=True)
+    _add_flag(p, "estimand", required=True)
     _add_method_flags(p, "estimand")
     p.set_defaults(func=cmd_pseudo)
 
     p = sub.add_parser("test", parents=[common], help="run a test, result as JSON")
-    _add_choice_flag(p, "method", required=True)
-    _add_choice_flag(p, "estimand")
+    _add_flag(p, "method", required=True)
+    _add_flag(p, "estimand")
     _add_method_flags(p, "method", "estimand")
-    _add_choice_flag(p, "perm",
-                     help=f"add a permutation p-value (exact up to {EXACT_HALF_SUMS_LIMIT} "
-                          "half-subset sums: balanced arms up to n = 40)")
-    p.add_argument("--replicates", type=int, help="Monte-Carlo replicates (default: 10000)")
-    p.add_argument("--seed", type=int, help="Monte-Carlo seed (default: 0)")
+    _add_flag(p, "perm", help=f"add a permutation p-value (exact up to {EXACT_HALF_SUMS_LIMIT} "
+                               "half-subset sums: balanced arms up to n = 40)")
+    _add_flag(p, "replicates", help="Monte-Carlo replicates (default: 10000)")
+    _add_flag(p, "seed", help="Monte-Carlo seed (default: 0)")
     p.add_argument("--flip-direction", action="store_true",
                    help="test the opposite one-sided alternative")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("censor", parents=[common], help="inject uniform censoring")
-    p.add_argument("--max", type=float, default=26.0,
-                   help="upper bound of the Uniform(0, max) censoring draw (default: 26)")
-    p.add_argument("--seed", type=int, default=0)
+    _add_flag(p, "max", default=26.0,
+              help="upper bound of the Uniform(0, max) censoring draw (default: 26)")
+    _add_flag(p, "seed", default=0)
     p.set_defaults(func=cmd_censor)
 
     p = sub.add_parser("plot", parents=[common], help="one method panel as SVG + CSV")
@@ -432,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="aligned panels for several methods as SVG + CSV")
     p.add_argument("--spec", action="append", required=True,
                    help="method spec; repeat for each panel")
-    p.add_argument("--columns", type=int, default=3, help="panels per row (default: 3)")
+    _add_flag(p, "columns", default=3, help="panels per row (default: 3)")
     p.set_defaults(func=cmd_panels)
     return parser
 
@@ -442,11 +444,11 @@ _parser = functools.cache(build_parser)  # one per process: each build is a cycl
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.command in ("plot", "compare") and not args.output:
-        print("error: plot and compare require --output", file=sys.stderr)
-        return 2
+    values = vars(args)
     try:
-        _check_choices(args)
+        for dest, (flag, parse) in CHOICES.items():
+            if values.get(dest) is not None:
+                values[dest] = _read(flag, parse, values[dest])
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -329,8 +329,8 @@ def test_plot_writes_svg_and_sibling_csv(toy_csv_path, tmp_path):
 
 
 def test_plot_requires_output(toy_csv_path, capsys):
-    assert run("plot", "--input", str(toy_csv_path), "--spec", "logrank") == 2
-    assert "--output" in capsys.readouterr().err
+    assert run("plot", "--input", str(toy_csv_path), "--spec", "logrank") == 1
+    assert capsys.readouterr().err == "error: plot and compare require --output\n"
 
 
 def test_compare_panels_and_combined_csv(toy_csv_path, tmp_path):
@@ -514,10 +514,40 @@ def test_method_table_lists_the_library_kinds():
     assert sorted(parse_method_spec(spec).kind for spec in specs) == sorted(WEIGHT_KINDS)
 
 
-def test_non_numeric_number_flag_is_one_line_error(toy_csv_path, capsys):
-    assert run("pseudo", "--estimand", "rmst", "--tau", "abc", "--input", str(toy_csv_path)) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err == "error: bad --tau 'abc'\n"
+@pytest.mark.parametrize("argv, message", [
+    ("pseudo --estimand rmst --tau abc", "bad --tau 'abc'"),
+    ("censor --max abc", "bad --max 'abc'"),
+    ("test --method logrank --perm mc --replicates 1e3", "bad --replicates '1e3'"),
+    ("compare --spec logrank --spec mw:sstar=0.5 --columns x", "bad --columns 'x'"),
+    # a word that reads as NaN is not echoed
+    ("pseudo --estimand ahsw --tau 9 --backend nan", "bad --backend: expected km, exp, pwexp"),
+    ("pseudo --estimand ahsw --tau 9 --pooling NaN", "bad --pooling: expected arm, pooled"),
+    ("pseudo --estimand ahsw --tau 9 --ahsw-scale=-nan", "bad --ahsw-scale: expected log, ratio"),
+    ("pseudo --estimand nan", "bad --estimand: expected rmst, milestone, wmst, ahsw"),
+    ("scores --test nan", "bad --test: expected logrank, fh, mw"),
+    ("test --method nan", "bad --method: expected rmst, milestone, logrank, fh, mw, pseudo"),
+    ("test --method logrank --perm nan", "bad --perm: expected exact, mc"),
+    ("km --format nan", "bad --format: expected csv, json"),
+    ("plot --spec nan", "bad method spec: unknown method"),
+    ("plot --spec rmst:tau=9,backend=nan",
+     "bad method spec rmst: bad backend: expected km, exp, pwexp"),
+    ("plot --spec rmst:tau=9,pooling=+NaN",
+     "bad method spec rmst: bad pooling: expected arm, pooled"),
+    ("plot --spec ahsw:tau=9,log=nan", "bad method spec ahsw: bad log: expected on, off"),
+    ("test --method logrank --perm mc --replicates nan", "bad --replicates"),
+    ("test --method logrank --perm mc --seed NaN", "bad --seed"),
+    ("censor --seed nan", "bad --seed"),
+    ("compare --spec logrank --spec mw:sstar=0.5 --columns nan", "bad --columns"),
+], ids=["tau-abc", "max-abc", "replicates-1e3", "columns-x", "backend-nan", "pooling-nan",
+        "ahsw-scale-nan", "estimand-nan", "test-nan", "method-nan", "perm-nan", "format-nan",
+        "spec-nan", "spec-backend-nan", "spec-pooling-nan", "spec-log-nan", "replicates-nan",
+        "test-seed-nan", "censor-seed-nan", "columns-nan"])
+def test_bad_flag_value_is_one_exact_line(argv, message, toy_csv_path, tmp_path, capsys):
+    """Every flag text and spec word is read in one way: exit 1, one line, no NaN echoed."""
+    out = tmp_path / "out.svg"
+    assert run(*argv.split(), "--input", str(toy_csv_path), "--output", str(out)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, choices", [
@@ -564,7 +594,7 @@ def test_cli_import_loads_no_xml_network_or_hashing_module():
 
 @pytest.mark.parametrize("word", ["log", "ratio", "yes", ""])
 def test_spec_log_key_reads_only_on_or_off(word):
-    with pytest.raises(ValueError, match="bad log .*: expected on or off"):
+    with pytest.raises(ValueError, match="bad log .*: expected on, off"):
         parse_method_spec(f"ahsw:tau=9,log={word}")
 
 
@@ -707,13 +737,21 @@ HORIZONS = ("tau", "kappa", "tau1", "tau2")
 # Half the drawn horizons lie inside the toy trial's follow-up (4.38 to 34.64),
 # so the property reaches the estimators and not only the spec checks.
 horizon = edge | st.floats(min_value=0.5, max_value=30).map("{:.2f}".format)
+NAN_WORDS = ["nan", "NaN", "-nan"]  # words no flag admits that read as NaN, which no error echoes
+
+
+def _words(*words):
+    """One of the words a flag admits, or one time in four a NaN word."""
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(NAN_WORDS if k == 0 else words))
+
+
 OPTION_VALUES = {  # method key -> its flag and the values drawn for it
     **{key: (f"--{key}", edge) for key in ("rho", "gamma", "sstar")},
     **{key: (f"--{key}", horizon) for key in HORIZONS},
-    "backend": ("--backend", st.sampled_from(["km", "exp", "pwexp"])),
+    "backend": ("--backend", _words("km", "exp", "pwexp")),
     "breakpoints": ("--breakpoints", st.builds("{},{}".format, edge, edge)),
-    "pooling": ("--pooling", st.sampled_from(["arm", "pooled"])),
-    "log": ("--ahsw-scale", st.sampled_from(["log", "ratio"])),
+    "pooling": ("--pooling", _words("arm", "pooled")),
+    "log": ("--ahsw-scale", _words("log", "ratio")),
 }
 ESTIMANDS = ["rmst", "milestone", "wmst", "ahsw"]
 
@@ -738,8 +776,10 @@ def _pseudo_argv(draw):
 
 @st.composite
 def _test_argv(draw):
-    method = draw(st.sampled_from(["rmst", "milestone", "logrank", "fh", "mw", "pseudo"]))
-    argv = ["test", "--method", method]
+    method = draw(_words("rmst", "milestone", "logrank", "fh", "mw", "pseudo"))
+    argv = ["test", f"--method={method}"]
+    if method in NAN_WORDS:
+        return argv
     if method == "pseudo":
         estimand = draw(st.sampled_from(ESTIMANDS))
         argv += ["--estimand", estimand]
@@ -749,8 +789,16 @@ def _test_argv(draw):
         own = SPEC_KEYS[method] if route is None else route[1]
     argv += _method_flags(draw, own, OPTION_VALUES)
     if draw(st.booleans()):
-        argv += ["--perm", "mc", "--replicates", "50"]
+        argv += [f"--perm={draw(_words('mc'))}", f"--replicates={draw(st.just('50') | edge)}"]
+        if draw(st.booleans()):
+            argv.append(f"--seed={draw(edge)}")
     return argv
+
+
+@st.composite
+def _censor_argv(draw):
+    return ["censor", *(f"{flag}={draw(edge)}" for flag in ("--max", "--seed")
+                        if draw(st.booleans()))]
 
 
 OUT = "<out>"  # stands for the SVG path, which exists only inside the test
@@ -766,12 +814,15 @@ def _compare_argv(draw):
         f"fh:rho={draw(edge)},gamma={draw(edge)}",
         f"mw:sstar={draw(edge)}",
         f"rmst:tau=18,backend=pwexp,breakpoints={draw(edge)}:{draw(edge)}",
+        f"ahsw:tau={draw(edge)},log={draw(_words('on', 'off'))}",
+        f"milestone:kappa=18,{draw(st.sampled_from(['backend', 'pooling']))}=nan",
+        draw(st.sampled_from(NAN_WORDS)),
     ]
     chosen = draw(st.lists(st.sampled_from(specs), min_size=2, max_size=3))
     argv = ["compare", "--output", OUT]
     for spec in chosen:
-        argv += ["--spec", spec]
-    return argv + [f"--columns={draw(st.sampled_from([-1, 0, 1, 2, 10**9]))}"]
+        argv.append(f"--spec={spec}")
+    return argv + [f"--columns={draw(st.sampled_from([-1, 0, 1, 2, 10**9, 'nan']))}"]
 
 
 NAN = re.compile(r"\bnan\b", re.IGNORECASE)
@@ -803,7 +854,7 @@ def _assert_contract(argv, written_paths=(), refusal=None):
     return code
 
 
-@given(argv=st.one_of(_pseudo_argv(), _test_argv(), _compare_argv()),
+@given(argv=st.one_of(_pseudo_argv(), _test_argv(), _compare_argv(), _censor_argv()),
        one_early_event=st.booleans())
 @example(argv=["pseudo", "--estimand", "rmst", "--tau=1e300", "--backend=exp"], one_early_event=True)
 @example(argv=["pseudo", "--estimand", "rmst", "--tau=1e308", "--backend=exp"], one_early_event=True)
