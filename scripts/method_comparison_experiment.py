@@ -10,7 +10,9 @@ Produces three comparison figures in the output directory:
                       censoring, to show how early censoring moves weight
                       onto late events for KM-anchored tests
 
-Each SVG gets a sibling CSV of the plotted values.
+Each SVG gets a sibling CSV of the plotted values.  Every grid is tried, so a
+grid that fails (one error line) leaves the others drawn; the exit code is
+the first nonzero one.
 """
 
 import argparse
@@ -65,16 +67,17 @@ def main(argv=None):
     out.mkdir(parents=True, exist_ok=True)
 
     censored_csv = out / "censored_input.csv"
-    # each step runs only if every earlier one succeeded; the first nonzero code is returned
-    return (
-        compare(args.input, MAIN_GRID, out / "main_grid.svg")
-        or compare(args.input, FH_GRID, out / "fh_grid.svg", columns=2)
-        or survscore_main([
+    # every grid is tried, the censored one if its input was written; the first nonzero
+    # code is returned
+    codes = [
+        compare(args.input, MAIN_GRID, out / "main_grid.svg"),
+        compare(args.input, FH_GRID, out / "fh_grid.svg", columns=2),
+        survscore_main([
             "censor", "--input", args.input, "--output", str(censored_csv),
             "--max", str(args.censor_max), "--seed", str(args.seed),
-        ])
-        or compare(censored_csv, CENSORED_GRID, out / "censored_grid.svg", columns=2)
-    )
+        ]) or compare(censored_csv, CENSORED_GRID, out / "censored_grid.svg", columns=2),
+    ]
+    return next((code for code in codes if code), 0)
 
 
 if __name__ == "__main__":

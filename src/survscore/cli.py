@@ -206,9 +206,9 @@ def _method_spec(name: str, texts: dict, spell=str, reads=None):
     """
     keys, build, _, _ = METHODS[name]
     reads = keys if reads is None else reads
-    unread = sorted(spell(key) for key in texts if key not in reads)
+    unread = ", ".join(sorted(spell(key) for key in texts if key not in reads))
     if unread:
-        raise ValueError(f"unknown keys for {name}: {', '.join(unread)}")
+        raise ValueError(f"unknown keys for {name}" + (f": {unread}" if _quoted(unread) else ""))
     values = {}
     for key in reads:
         _, parse, default, _ = OPTIONS[key]
@@ -244,9 +244,10 @@ def parse_method_spec(text: str):
         for pair in rest.split(",") if rest else ():
             key, sep, value = (part.strip() for part in pair.partition("="))
             if not sep:
-                raise ValueError(f"expected key=value, got {pair!r}")
+                got = f", got{_quoted(pair)}" if _quoted(pair) else ""
+                raise ValueError(f"expected key=value{got}")
             if key in texts:
-                raise ValueError(f"{key} given twice")
+                raise ValueError(f"{key} given twice" if _quoted(key) else "a key given twice")
             # log=on|off spells --ahsw-scale log|ratio, and no other word does
             texts[key] = _read(key, {"on": "log", "off": "ratio"}, value) if key == "log" else value
         return _method_spec(name, texts)

@@ -9,6 +9,7 @@ import csv
 import io
 import itertools
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from xml.sax.saxutils import escape
 
@@ -286,6 +287,24 @@ def dp_perm_p(values, arms, direction):
     bound = _tie_bound(ints, observed, direction)
     hits = sum(c for s, c in counts[n1].items() if _extreme(s, bound, direction))
     return Fraction(hits, math.comb(len(ints), n1))
+
+
+def bisect_count_at_most(ints, n1, bound):
+    """#(size-n1 subsets of the integers with sum <= bound), by the sort-and-bisect meet
+    in the middle: each half's subset sums listed by size, the right half's sorted, and
+    one bisect per left sum counting its partners."""
+    half = len(ints) // 2
+
+    def sums_by_size(values):
+        by_size = [[0]] + [[] for _ in range(n1)]
+        for i, v in enumerate(values):
+            for k in range(min(i + 1, n1), 0, -1):  # downward, so each value is used once
+                by_size[k] += [s + v for s in by_size[k - 1]]
+        return by_size
+
+    right = [sorted(sums) for sums in sums_by_size(ints[half:])]
+    return sum(bisect_right(right[n1 - k], bound - s)
+               for k, sums in enumerate(sums_by_size(ints[:half])) for s in sums)
 
 
 def sequential_choose(rng, n, k):

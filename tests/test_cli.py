@@ -211,6 +211,22 @@ def test_experiment_returns_the_code_of_its_first_failing_step(toy_csv_path, tmp
     assert err.count("\n") == 1 and err.startswith("error: panel 'logrank': no event times")
 
 
+def test_experiment_draws_every_grid_past_a_failing_one(tmp_path, capsys):
+    # arm 0 ends at t = 2: rmst:tau=18 fails the main grid and milestone:kappa=18 the
+    # censored one, and the FH grid between them is still drawn
+    trial = tmp_path / "short.csv"
+    rows = ["0.5,0,1", "1,0,1", "1.5,0,0", "2,0,1", "1,1,1", "3,1,0", "5,1,1", "8,1,1",
+            "12,1,0", "20,1,1"]
+    trial.write_text("time,arm,event\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "experiment"
+    assert EXPERIMENT.main(["--input", str(trial), "--output-dir", str(out)]) == 1
+    assert not (out / "main_grid.svg").exists() and not (out / "censored_grid.svg").exists()
+    assert (out / "fh_grid.svg").is_file() and (out / "fh_grid.csv").is_file()
+    beyond = "horizon 18 beyond follow-up 2 (full fit, group arm 0)"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: panel 'rmst:tau=18': {beyond}", f"error: panel 'milestone:kappa=18': {beyond}"]
+
+
 def test_test_mc_permutation_deterministic(toy_csv_path, capsys):
     args = (
         "test", "--input", str(toy_csv_path), "--method", "pseudo",
@@ -626,9 +642,14 @@ def test_bad_spec_names_its_spec_text(argv, message, toy_csv_path, tmp_path, cap
     (["plot", "--spec", "fh:rho=-nan"], "bad method spec fh: rho must be finite and nonnegative"),
     (["plot", "--spec", "rmst:tau=9,backend=pwexp,breakpoints=1:NaN"],
      "bad method spec rmst: breakpoints must be finite"),
-], ids=["banana", "nanny", "tau-nan", "rho-minus-nan", "breakpoint-nan"])
+    (["plot", "--spec", "rmst:tau=9,nan=3"], "bad method spec rmst: unknown keys for rmst"),
+    (["plot", "--spec", "rmst:tau=9,NaN"], "bad method spec rmst: expected key=value"),
+    (["plot", "--spec", "rmst:tau=9,-nan=3,-nan=6"], "bad method spec rmst: a key given twice"),
+], ids=["banana", "nanny", "tau-nan", "rho-minus-nan", "breakpoint-nan", "key-nan", "pair-nan",
+        "key-nan-twice"])
 def test_spec_text_is_dropped_only_for_a_nan_value(argv, message, toy_csv_path, tmp_path, capsys):
-    """A spec is quoted unless a value in it reads as a NaN float, which no diagnostic prints."""
+    """A spec is quoted unless a key or value in it reads as a NaN float, which no diagnostic
+    prints."""
     out = tmp_path / "out.svg"
     assert run(*argv, "--input", str(toy_csv_path), "--output", str(out)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -806,6 +827,7 @@ OUT = "<out>"  # stands for the SVG path, which exists only inside the test
 
 @st.composite
 def _compare_argv(draw):
+    nan_key = draw(st.sampled_from(NAN_WORDS))
     specs = [
         f"rmst:tau={draw(edge)}",
         f"milestone:kappa={draw(edge)},backend={draw(st.sampled_from(['km', 'exp', 'pwexp']))}",
@@ -816,6 +838,9 @@ def _compare_argv(draw):
         f"rmst:tau=18,backend=pwexp,breakpoints={draw(edge)}:{draw(edge)}",
         f"ahsw:tau={draw(edge)},log={draw(_words('on', 'off'))}",
         f"milestone:kappa=18,{draw(st.sampled_from(['backend', 'pooling']))}=nan",
+        f"rmst:tau=18,{nan_key}=3",
+        f"rmst:tau=18,{nan_key}",
+        f"rmst:tau=18,{nan_key}=3,{nan_key}=6",
         draw(st.sampled_from(NAN_WORDS)),
     ]
     chosen = draw(st.lists(st.sampled_from(specs), min_size=2, max_size=3))

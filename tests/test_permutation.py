@@ -5,7 +5,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survscore import (
@@ -72,9 +72,10 @@ def test_exact_bound_exceeded():
             exact_perm_p(values, arms, "lower")
 
 
-@pytest.mark.parametrize("n, n1", [(30, 15), (30, 20), (36, 18)])
+@pytest.mark.parametrize("n, n1", [(30, 15), (30, 20), (36, 18), (40, 20)])
 def test_exact_matches_dp_past_enumeration(n, n1):
-    # C(n, n1) is 3.0e7 to 9.1e9 assignments here: too many to enumerate
+    # C(n, n1) is 3.0e7 to 1.4e11 assignments here: too many to enumerate; (40, 20) is
+    # the largest balanced trial under EXACT_HALF_SUMS_LIMIT
     rng = random.Random(n * 100 + n1)
     values = [float(rng.randint(0, 20)) for _ in range(n)]
     arms = [1] * n1 + [0] * (n - n1)
@@ -82,6 +83,32 @@ def test_exact_matches_dp_past_enumeration(n, n1):
     for direction in ("lower", "upper"):
         want = oracles.dp_perm_p(values, arms, direction)
         assert exact_perm_p(values, arms, direction) == float(want)
+
+
+@st.composite
+def count_cases(draw):
+    """Values, arms and a tail: continuous or coarsely tied values, odd n, 2 * n1 > n."""
+    n = draw(st.integers(2, 16))
+    value = st.integers(-3, 3).map(float) if draw(st.booleans()) else st.floats(-50, 50)
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    n1 = draw(st.integers(1, n - 1))
+    arms = draw(st.permutations([1] * n1 + [0] * (n - n1)))
+    return values, arms, draw(st.sampled_from(["lower", "upper"]))
+
+
+@given(count_cases())
+@example(([0.5, -1.0, 2.0, 2.0, 0.25], [1, 1, 1, 0, 1], "upper"))  # odd n, 2 * n1 > n, a tie
+@example(([3.0, -3.0, 0.0, 1.0, 1.0, -1.0, 2.0], [0, 1, 0, 1, 0, 0, 0], "lower"))
+@settings(max_examples=150, deadline=None)
+def test_count_matches_the_sort_and_bisect_oracle(case):
+    # bounds at the observed sum, one unit either side and one tie window either side
+    values, arms, direction = case
+    n1, scaled, bound = permutation._lower_tail(values, arms, direction)
+    window = permutation._integer_image(values)[1]
+    observed = bound - window
+    for at in (observed, observed - 1, observed + 1, observed - window, observed + window):
+        want = oracles.bisect_count_at_most(scaled, n1, at)
+        assert permutation._count_at_most(scaled, n1, at) == want, at
 
 
 def test_dp_oracle_matches_full_enumeration():
