@@ -7,14 +7,20 @@ equal-size subset sums shift identically under a constant offset, centered
 exactly; counting is then pure integer arithmetic.
 
 The exact test counts by meet in the middle (Horowitz & Sahni, 1974): the
-subjects are split into two halves, each half's subset sums are built in
-ascending order per subset size by linear merges, and one pointer sweep over
-each pair of sizes counts the pairs of half sums under a bound.  The work is
-linear in the number of half sums (at most 2^ceil(n/2)), not in the C(n, n1)
-assignments: with balanced arms exact_perm_p takes about 0.8 ms at n = 22,
-0.1 s at n = 36 and 0.4 s at n = 40 (Python 3.11, one core of a shared
-2-vCPU machine).  EXACT_HALF_SUMS_LIMIT caps the sums held for the larger
-half, and past it exact_perm_p refers to the Monte-Carlo test.
+subjects are split into two halves, each half's subset sums are listed per
+subset size, and the pairs of half sums under a bound are counted one pair of
+sizes at a time.  With arms near balance (the smaller arm at least about n / 5)
+the lists are built in ascending order by linear merges and one pointer sweep
+counts each pair of sizes; with skewed arms the merges would walk each list
+once per value, so the sums are appended unsorted, and each pair of sizes
+sorts its shorter list and bisects the longer one into it.  The work grows
+with the number of half sums (at most 2^ceil(n/2)), not with the C(n, n1)
+assignments: exact_perm_p takes about 0.55 ms at n = 22, 0.08 s at n = 36 and
+0.34 s at n = 40 with balanced arms, 0.26 s with n1 = 3 at n = 368 and 0.28 s
+with n1 = 2 at n = 2,894, and with n1 = 1 0.17 s at n = 100,000 and 3.6 s at
+n = 2,097,150, the largest n the limit admits (Python 3.11, one core of a
+shared 2-vCPU machine).  EXACT_HALF_SUMS_LIMIT caps the sums held for the
+larger half, and past it exact_perm_p refers to the Monte-Carlo test.
 
 Tie policy: sums within a tiny window (2^-41 of the value spread) of the
 observed sum count as ties, and ties score as "at least as extreme".  The
@@ -35,13 +41,15 @@ byte-identical to one CPU's; every worker is reaped before mc_perm_p returns.
 import math
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 from .dataset import benefit_sign, check_two_arms
 from .rng import SplitMix64
 
-EXACT_HALF_SUMS_LIMIT = 2**20  # sums held for the larger half: balanced arms up to n = 40
+EXACT_HALF_SUMS_LIMIT = 2**20  # sums held for the larger half: n = 40 balanced, n1 = 2 at n = 2,894
 _TIE_WINDOW_SHIFT = 41  # window = spread / 2, right-shifted by 40
 _MIN_WORKER_DRAWS = 2**16  # 12-20 ms of draws, against about 2 ms to fork and reap a worker
 
@@ -127,14 +135,16 @@ def _half_sums_held(n, m) -> int:
     return held
 
 
-def _sorted_sums(values, start, m) -> list[list[int]]:
-    """start plus each subset sum of values, as one ascending list per subset size 0..m
-    (m <= len(values)).
+def _subset_sums(values, start, m, ordered) -> list[list[int]]:
+    """start plus each subset sum of values, as one list per subset size 0..m
+    (m <= len(values)); each list ascends when ordered.
 
-    Adding a value v shifts the size-(k-1) list by v and merges it into the size-k
-    list: both runs ascend, so the sort is one linear merge.  Sizes past half of
-    len(values) are never built: a size-k subset's complement has size len - k, so
-    its list is pivot - x over the complement size's list, reversed.
+    Sizes past half of len(values) are never built: a size-k subset's complement
+    has size len - k, so its list is pivot - x over the complement size's list,
+    reversed.  Ordered, adding a value v shifts the size-(k-1) list by v and
+    merges it into the size-k list: both runs ascend, so the sort is one linear
+    merge, but it walks the whole size-k list, so size k costs C(h + 1, k + 1),
+    (h + 1) / (k + 1) visits per sum it keeps (h = len(values)).
     """
     h = len(values)
     built = min(m, h // 2)
@@ -143,13 +153,14 @@ def _sorted_sums(values, start, m) -> list[list[int]]:
         for k in range(min(i + 1, built), 0, -1):  # downward, so each value is used once
             grown = by_size[k]
             grown += map(v.__add__, by_size[k - 1])
-            grown.sort()
+            if ordered:
+                grown.sort()
     pivot = 2 * start + sum(values)
     by_size += (list(map(pivot.__sub__, reversed(by_size[h - k]))) for k in range(built + 1, m + 1))
     return by_size
 
 
-def _pairs_below(odd, even) -> int:
+def _pairs_swept(odd, even) -> int:
     """#(pairs with x in even < y in odd), for two ascending lists, by one pointer sweep."""
     total = j = 0
     stop = len(even)
@@ -160,22 +171,42 @@ def _pairs_below(odd, even) -> int:
     return total
 
 
+def _pairs_bisected(odd, even) -> int:
+    """#(pairs with x in even < y in odd), for two lists in any order: the shorter
+    one is sorted in place and every entry of the longer one bisects into it."""
+    if len(even) <= len(odd):
+        even.sort()
+        return sum(map(bisect_left, repeat(even), odd))
+    odd.sort()
+    return len(odd) * len(even) - sum(map(bisect_left, repeat(odd), even))
+
+
 def _count_at_most(scaled, n1, bound) -> int:
     """#(size-n1 subsets of scaled with sum <= bound), by meet in the middle.
 
     Each size-n1 subset is a size-k subset of the left half, sum a, plus a
     size-(n1 - k) subset of the right half, sum b.  Right sums are held as 2b
     and left sums as 2(bound - a) + 1, so that b <= bound - a exactly when the
-    even number is below the odd one: no two compare equal, and one sweep over
-    each pair of sorted sizes counts their pairs.
+    even number is below the odd one, and no two compare equal.
+
+    With arms near balance, every size up to about half of a half is needed, the
+    merged builds visit fewer than three entries per kept sum, and one sweep over
+    each pair of ascending sizes counts its pairs.  With skewed arms the largest
+    size needed is small against the half, the merges would visit (h + 1) / (k + 1)
+    entries per sum, and the sums are appended unsorted; each pair of sizes then
+    sorts its shorter list and bisects the longer one into it.  Only n and n1 pick
+    the route, and both give the same count.
     """
     n = len(scaled)
     if 2 * n1 > n:  # sum(S) <= bound  iff  -sum(complement of S) <= bound - total
         return _count_at_most([-v for v in scaled], n - n1, bound - sum(scaled))
     half = n // 2
-    left = _sorted_sums([-2 * v for v in scaled[:half]], 2 * bound + 1, min(n1, half))
-    right = _sorted_sums([2 * v for v in scaled[half:]], 0, n1)
-    return sum(_pairs_below(sums, right[n1 - k]) for k, sums in enumerate(left))
+    h = n - half
+    ordered = 2 * (h + 1) <= 5 * (min(n1, h // 2) + 1)  # (h + 1) / (k + 1) <= 2.5 at the top size
+    left = _subset_sums([-2 * v for v in scaled[:half]], 2 * bound + 1, min(n1, half), ordered)
+    right = _subset_sums([2 * v for v in scaled[half:]], 0, n1, ordered)
+    pairs = _pairs_swept if ordered else _pairs_bisected
+    return sum(pairs(sums, right[n1 - k]) for k, sums in enumerate(left))
 
 
 def _extreme(scaled, n1, bound, seed, start, stop) -> int:

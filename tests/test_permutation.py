@@ -99,6 +99,10 @@ def count_cases(draw):
 @given(count_cases())
 @example(([0.5, -1.0, 2.0, 2.0, 0.25], [1, 1, 1, 0, 1], "upper"))  # odd n, 2 * n1 > n, a tie
 @example(([3.0, -3.0, 0.0, 1.0, 1.0, -1.0, 2.0], [0, 1, 0, 1, 0, 0, 0], "lower"))
+@example(([1.0, 1.0, 0.0, 2.0, -1.0, 1.0, 3.0, 0.0, 1.0, 2.0, 0.0, 1.0],  # skewed arms: appended
+          [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0], "lower"))
+@example(([1.0, 1.0, 0.0, 2.0, -1.0, 1.0, 3.0, 0.0, 1.0, 2.0, 0.0, 1.0],
+          [1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1], "upper"))
 @settings(max_examples=150, deadline=None)
 def test_count_matches_the_sort_and_bisect_oracle(case):
     # bounds at the observed sum, one unit either side and one tie window either side
@@ -109,6 +113,46 @@ def test_count_matches_the_sort_and_bisect_oracle(case):
     for at in (observed, observed - 1, observed + 1, observed - window, observed + window):
         want = oracles.bisect_count_at_most(scaled, n1, at)
         assert permutation._count_at_most(scaled, n1, at) == want, at
+
+
+@given(st.lists(st.integers(-9, 9), max_size=12), st.integers(-50, 50), st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_merged_and_appended_subset_sums_agree(values, start, m):
+    m = min(m, len(values))
+    merged = permutation._subset_sums(values, start, m, True)
+    appended = permutation._subset_sums(values, start, m, False)
+    assert len(merged) == len(appended) == m + 1
+    for k, (ascending, listed) in enumerate(zip(merged, appended)):
+        assert ascending == sorted(listed)
+        assert len(ascending) == math.comb(len(values), k)
+
+
+@given(st.lists(st.integers(-20, 20).map(lambda x: 2 * x + 1)),
+       st.lists(st.integers(-20, 20).map(lambda x: 2 * x)), st.randoms())
+@settings(max_examples=100, deadline=None)
+def test_swept_and_bisected_pair_counts_agree(odd, even, rng):
+    want = sum(x < y for y in odd for x in even)
+    assert permutation._pairs_swept(sorted(odd), sorted(even)) == want
+    rng.shuffle(odd)
+    rng.shuffle(even)
+    assert permutation._pairs_bisected(odd, even) == want
+
+
+@pytest.mark.parametrize("n, n1", [(2894, 2), (100_000, 1)])
+def test_exact_with_skewed_arms_stays_fast(n, n1):
+    # near the size limit with skewed arms: merging each sum list per added value would
+    # visit (h + 1) / (k + 1) entries per sum, about 480 at (2894, 2) and 50,000 at
+    # (100000, 1), and take tens of seconds; appending, then sorting the shorter list
+    # of each size pair, takes well under one
+    rng = random.Random(n)
+    values = [float(rng.randint(0, 100)) for _ in range(n)]
+    arms = [1] * n1 + [0] * (n - n1)
+    rng.shuffle(arms)
+    for direction in ("lower", "upper"):
+        start = time.perf_counter()
+        got = exact_perm_p(values, arms, direction)
+        assert time.perf_counter() - start < 5
+        assert got == float(oracles.dp_perm_p(values, arms, direction))
 
 
 def test_dp_oracle_matches_full_enumeration():
