@@ -3,10 +3,11 @@
 Two curve families: the Kaplan-Meier step function and constant/piecewise
 constant-hazard fits.  All integrals use exact piecewise closed forms (no
 quadrature), so repeated evaluation is reproducible to rounding error.
+tail_integrals() is the one KM tail integral that km_tests and pseudo share.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -140,6 +141,21 @@ def rmst(curve: SurvivalCurve, tau: float) -> float:
             prev_t, surv = t, v
         return total + surv * (tau - prev_t)
     return piecewise_rmst(curve.breakpoints, curve.rates, tau)
+
+
+def tail_integrals(times, factors, h: float) -> list[float]:
+    """For each level j up to the first time >= h, the integral over [start_j, h)
+    of the step curve that is 1 on level j and takes ``factors[j:]`` at ``times[j:]``.
+
+    Level j is [start_j, times[j]), with start_0 = 0 and start_j = times[j - 1].
+    Summed backward with no division, so a factor of 0 is safe.
+    """
+    last = bisect_left(times, h)
+    starts = [0.0, *times[:last]]
+    tails = [h - starts[last]]
+    for j in reversed(range(last)):
+        tails.append(times[j] - starts[j] + factors[j] * tails[-1])
+    return tails[::-1]
 
 
 def piecewise_rmst(breakpoints, rates, tau: float) -> float:

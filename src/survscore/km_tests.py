@@ -6,25 +6,13 @@ EstimandSpec.  A variance term at an event time where everyone at risk dies
 divides by zero; such terms are dropped and a warning is attached.
 """
 
-from bisect import bisect_left
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
+from operator import mul
 
-from .curves import beyond_follow_up, km_fit
+from .curves import beyond_follow_up, km_fit, tail_integrals
 from .dataset import TrialDataset, build_risk_table, check_arm_sizes, split_by_arm
 from .logrank import TestResult
 from .pseudo import EstimandSpec, _curve_functional
-
-
-def _integrals_from(curve, tau):
-    """Integral of the curve from each of its jump times up to tau; 0.0 from tau on.
-
-    One sum backward over the steps below tau, so nothing is subtracted.
-    """
-    jumps = curve.jump_times
-    below = bisect_left(jumps, tau)
-    ends = jumps[1:below] + (tau,)
-    pieces = [s * (end - t) for s, end, t in zip(curve.values, ends, jumps[:below])]
-    return chain(reversed(list(accumulate(reversed(pieces)))), repeat(0.0))
 
 
 def _difference_test(ds: TrialDataset, spec: EstimandSpec) -> TestResult:
@@ -32,8 +20,8 @@ def _difference_test(ds: TrialDataset, spec: EstimandSpec) -> TestResult:
 
     The spec is an rmst or a milestone estimand.  The variance sums
     c^2 d / (n (n - d)) over each arm's event times up to its horizon,
-    where c at an event time is the curve's integral from there to tau
-    (rmst) or its value at kappa (milestone).
+    where c at event time t_j is S(kappa) (milestone) or the curve's integral
+    from t_j to tau, S(t_j) times tail_integrals' entry j + 1 (rmst).
     """
     horizon, rmst_kind = spec.horizon, spec.kind == "rmst"
     check_arm_sizes(ds.n, ds.n_arm1)
@@ -47,7 +35,12 @@ def _difference_test(ds: TrialDataset, spec: EstimandSpec) -> TestResult:
             raise ValueError(f"{exc} ({label})") from None
         estimates.append(_curve_functional(curve, spec))
         rt = build_risk_table(arm)
-        coefficients = _integrals_from(curve, horizon) if rmst_kind else repeat(estimates[-1])
+        if rmst_kind:
+            factors = [1.0 - d / n for d, n in zip(rt.events, rt.at_risk)]
+            tails = tail_integrals(rt.times, factors, horizon)[1:]
+            coefficients = chain(map(mul, curve.values, tails), repeat(0.0))
+        else:
+            coefficients = repeat(estimates[-1])
         for t, n, d, c in zip(rt.times, rt.at_risk, rt.events, coefficients):
             if t > horizon:
                 break

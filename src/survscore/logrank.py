@@ -153,8 +153,7 @@ def u_and_v(rt: RiskTable, weights) -> tuple[float, float]:
     """
     if len(weights) != len(rt.times):
         raise ValueError("need one weight per distinct event time")
-    u = 0.0
-    v = 0.0
+    u = v = 0.0
     for w, n, d, n1, d1 in zip(weights, rt.at_risk, rt.events, rt.at_risk1, rt.events1):
         u += w * (d1 - d * n1 / n)
         if n > 1:

@@ -64,23 +64,20 @@ class MonteCarloP:
     seed: int
 
 
-def _integer_image(values):
-    """Exact centered integer image of the floats, plus the tie window.
+def _integer_image(values, sign=1):
+    """Exact centered integer image of the floats, times ``sign`` (1 or -1), plus the tie window.
 
     A common power-of-two denominator makes the conversion exact; the
     centering shift is an exact integer operation that cannot change any
     comparison between equal-size subset sums.
     """
-    ratios = []
-    for v in values:
-        v = float(v)
-        if not math.isfinite(v):
-            raise ValueError("values must be finite")
-        ratios.append(v.as_integer_ratio())
-    denom = max(q for _, q in ratios)
-    scaled = [p * (denom // q) for p, q in ratios]
+    floats = [float(v) for v in values]
+    if not all(map(math.isfinite, floats)):
+        raise ValueError("values must be finite")
+    denom = max(v.as_integer_ratio()[1] for v in floats)
+    scaled = [p * (denom // q) for p, q in map(float.as_integer_ratio, floats)]
     center = (max(scaled) + min(scaled)) // 2
-    scaled = [v - center for v in scaled]
+    scaled = [v - center for v in scaled] if sign > 0 else [center - v for v in scaled]
     window = max(abs(v) for v in scaled) >> (_TIE_WINDOW_SHIFT - 1)
     return scaled, window
 
@@ -89,16 +86,14 @@ def _lower_tail(values, arms, direction):
     """A one-sided test's counting problem, turned onto its lower tail.
 
     Returns the arm-1 count, the exact integer image of the values --
-    negated when benefit_sign(direction) is -1 ("upper"), so that a larger
-    arm-1 sum is a smaller one -- and the bound: an assignment is at least
-    as extreme as the observed one, ties included, when its arm-1 sum of
-    the image is <= bound.
+    negated as it is centered when benefit_sign(direction) is -1 ("upper"),
+    so that a larger arm-1 sum is a smaller one -- and the bound: an
+    assignment is at least as extreme as the observed one, ties included,
+    when its arm-1 sum of the image is <= bound.
     """
     sign = benefit_sign(direction)
     n1 = check_two_arms(arms, values)
-    scaled, window = _integer_image(values)
-    if sign < 0:
-        scaled = [-v for v in scaled]
+    scaled, window = _integer_image(values, sign)
     observed = sum(v for v, a in zip(scaled, arms) if a == 1)
     return n1, scaled, observed + window
 

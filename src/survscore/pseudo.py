@@ -9,7 +9,7 @@ either each arm separately (the default) or the pooled sample.
 """
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul, sub
@@ -23,6 +23,7 @@ from .curves import (
     piecewise_hazard,
     piecewise_rmst,
     rmst,
+    tail_integrals,
     valid_breakpoints,
 )
 from .dataset import RiskTable, TrialDataset, build_risk_table, check_arm_sizes, split_by_arm
@@ -178,8 +179,8 @@ def _km_leave_one_out(rt: RiskTable):
     t, one factor for the last event time at or before t (1, as if it were
     absent, when no event is left there), and the full fit's own factors
     after it.  Prefix products and integrals of the shifted curve, plus the
-    suffix products and integrals of the full fit's factors for a horizon h
-    (accumulated backwards, so nothing is divided and S = 0 is safe), give
+    suffix products of the full fit's factors and their tail_integrals() for
+    a horizon h (backward, so nothing is divided and S = 0 is safe), give
     every subject's S(h) and RMST(h) from its ``rt.intervals`` entry.
     Level j of a curve is its value after j jumps, on [start_j, t_j), with
     start_0 = 0.  Returns ``at(h)`` and ``integral(h)``: each builds its
@@ -212,15 +213,11 @@ def _km_leave_one_out(rt: RiskTable):
         ]
 
     def integral(h):
-        # integrals[j]: integral over [start_j, h) of that curve
-        last = bisect_left(times, h)
-        integrals = [h - starts[last]]
-        for j in reversed(range(last)):
-            integrals.append(times[j] - starts[j] + factors[j] * integrals[-1])
-        integrals.reverse()
+        # tails[j]: integral over [start_j, h) of that curve; tails[last] = h - start_last
+        tails = tail_integrals(times, factors, h)
+        last = len(tails) - 1
         return [
-            area[last] + shifted[last] * (h - starts[last]) if j > last
-            else area[j] + level * integrals[j]
+            area[last] + shifted[last] * tails[last] if j > last else area[j] + level * tails[j]
             for j, level in zip(pivots, levels)
         ]
 

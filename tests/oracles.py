@@ -9,7 +9,8 @@ import csv
 import io
 import itertools
 import math
-from bisect import bisect_right
+import operator
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from xml.sax.saxutils import escape
 
@@ -77,16 +78,39 @@ def weights_from_left_limits(rt, pooled, spec):
     return tuple(weights)
 
 
-def step_integral(steps, tau):
-    """Direct piece-by-piece integral of a step curve over [0, tau]."""
-    total = 0.0
-    prev, value = 0.0, 1.0
+def step_integral(steps, tau, start=0.0):
+    """Integral over [start, tau] of a [(time, value)] step curve that is 1 before its
+    first time, summed in exact rational arithmetic and rounded once at the end."""
+    total, prev, value = Fraction(0), Fraction(start), Fraction(1)
     for u, v in steps:
         if u >= tau:
             break
-        total += value * (u - prev)
-        prev, value = u, v
-    return total + value * (tau - prev)
+        if u > start:
+            total += value * (Fraction(u) - prev)
+            prev = Fraction(u)
+        value = Fraction(v)
+    return float(total + value * (Fraction(tau) - prev))
+
+
+def conditional_tail_integral(times, factors, j, h):
+    """Integral over [times[j - 1] (0 for j = 0), h) of the curve that is 1 there and is
+    multiplied by factors[k] at each times[k], k >= j, in exact rational arithmetic."""
+    levels = itertools.accumulate(map(Fraction, factors[j:]), operator.mul)
+    return step_integral(list(zip(times[j:], levels)), h, times[j - 1] if j else 0.0)
+
+
+def integrals_from(curve, tau):
+    """Integral of the curve from each of its jump times up to tau; 0.0 from tau on.
+
+    One sum backward over the pieces S * dt below tau, so nothing is subtracted:
+    the reference for the RMST test's S(t_j) times tail_integrals' entry j + 1.
+    """
+    jumps = curve.jump_times
+    below = bisect_left(jumps, tau)
+    ends = jumps[1:below] + (tau,)
+    pieces = [s * (end - t) for s, end, t in zip(curve.values, ends, jumps[:below])]
+    return itertools.chain(reversed(list(itertools.accumulate(reversed(pieces)))),
+                           itertools.repeat(0.0))
 
 
 def exponential_rate(subjects):
@@ -191,7 +215,7 @@ def km_difference(subjects, kind, horizon):
             if at_risk == deaths:
                 count += 1
                 continue
-            c = estimates[-1] - step_integral(steps, t) if kind == "rmst" else estimates[-1]
+            c = step_integral(steps, horizon, t) if kind == "rmst" else estimates[-1]
             variance += c * c * deaths / (at_risk * (at_risk - deaths))
         dropped.append(count)
     return estimates[1] - estimates[0], variance, tuple(dropped)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,12 +8,16 @@ from survscore import (
     EstimandSpec,
     Subject,
     TrialDataset,
+    build_risk_table,
+    km_fit,
     milestone_test,
     parse_dataset,
     pseudo_test,
     pseudo_values,
     rmst_test,
+    split_by_arm,
 )
+from survscore.curves import tail_integrals
 from tests import oracles
 from tests.conftest import random_dataset, simulated_trial_csv, tied_rows_st
 
@@ -127,19 +133,13 @@ def test_variance_nonnegative_on_random_data():
 # the curve of arm 0 reaches 0 at t = 2, where its last subject dies: n = d there
 ARM_REACHING_ZERO = [(1.0, 0, 1), (2.0, 0, 1), (1.0, 1, 1), (2.5, 1, 0)]
 
+events_on_both_arms = tied_rows_st.filter(lambda rows: {a for _, a, e in rows if e} == {0, 1})
+wheres = st.sampled_from(("event", "between", "follow-up"))
 
-@given(
-    rows=tied_rows_st.filter(lambda rows: {a for _, a, e in rows if e} == {0, 1}),
-    kind=st.sampled_from(("rmst", "milestone")),
-    where=st.sampled_from(("event", "between", "follow-up")),
-    pick=st.integers(0, 11),
-)
-@example(rows=ARM_REACHING_ZERO, kind="rmst", where="follow-up", pick=0)
-@example(rows=ARM_REACHING_ZERO, kind="milestone", where="event", pick=1)
-@settings(max_examples=300, deadline=None)
-def test_closed_form_matches_definition_oracle(rows, kind, where, pick):
-    # the horizon is an event time, a point between two of them (or before
-    # the first), or the shorter of the two arms' follow-ups
+
+def _horizon(rows, where, pick):
+    """An event time, a point between two of them (or before the first), or the shorter
+    of the two arms' follow-ups, as ``where`` says; ``pick`` chooses among several."""
     follow_up = min(max(t for t, a, _ in rows if a == arm) for arm in (0, 1))
     event_times = sorted({t for t, _, e in rows if e and t <= follow_up})
     points = sorted({0.0, *event_times, follow_up})
@@ -148,7 +148,16 @@ def test_closed_form_matches_definition_oracle(rows, kind, where, pick):
         "between": [(a + b) / 2 for a, b in zip(points, points[1:])],
         "follow-up": [follow_up],
     }[where]
-    horizon = candidates[pick % len(candidates)]
+    return candidates[pick % len(candidates)]
+
+
+@given(rows=events_on_both_arms, kind=st.sampled_from(("rmst", "milestone")), where=wheres,
+       pick=st.integers(0, 11))
+@example(rows=ARM_REACHING_ZERO, kind="rmst", where="follow-up", pick=0)
+@example(rows=ARM_REACHING_ZERO, kind="milestone", where="event", pick=1)
+@settings(max_examples=300, deadline=None)
+def test_closed_form_matches_definition_oracle(rows, kind, where, pick):
+    horizon = _horizon(rows, where, pick)
     ds = TrialDataset(tuple(Subject(*row) for row in rows))
     result = (rmst_test if kind == "rmst" else milestone_test)(ds, horizon)
     statistic, variance, dropped = oracles.km_difference(rows, kind, horizon)
@@ -158,6 +167,35 @@ def test_closed_form_matches_definition_oracle(rows, kind, where, pick):
         sum(f" on arm {arm} dropped: " in w for w in result.warnings) for arm in (0, 1)
     ) == dropped
     assert len(result.warnings) == sum(dropped)
+
+
+@given(rows=events_on_both_arms, where=wheres, pick=st.integers(0, 11))
+@example(rows=ARM_REACHING_ZERO, where="follow-up", pick=0)
+@example(rows=ARM_REACHING_ZERO, where="event", pick=1)
+@settings(max_examples=300, deadline=None)
+def test_tail_integrals_match_exact_integrals_and_the_backward_sum(rows, where, pick):
+    """The shared kernel against exact rational integrals of each conditional curve, at the
+    horizon and at the trial's follow-up (past an arm's own, where a factor of 0 is read);
+    and the RMST test's coefficients, through the variance they give, against the
+    backward sum of S * dt."""
+    horizon = _horizon(rows, where, pick)
+    ds = TrialDataset(tuple(Subject(*row) for row in rows))
+    want = 0.0
+    for arm in split_by_arm(ds):
+        rt = build_risk_table(arm)
+        factors = [1.0 - d / n for d, n in zip(rt.events, rt.at_risk)]
+        for h in (horizon, ds.follow_up):
+            tails = tail_integrals(rt.times, factors, h)
+            assert len(tails) == 1 + sum(t < h for t in rt.times)
+            for j, got in enumerate(tails):
+                exact = oracles.conditional_tail_integral(rt.times, factors, j, h)
+                assert math.isfinite(got) and abs(got - exact) <= 1e-14 * exact, (h, j)
+        coefficients = oracles.integrals_from(km_fit(arm), horizon)
+        for t, n, d, c in zip(rt.times, rt.at_risk, rt.events, coefficients):
+            if t <= horizon and n != d:
+                want += c * c * d / (n * (n - d))
+    variance = rmst_test(ds, horizon).variance
+    assert math.isfinite(variance) and abs(variance - want) <= 1e-14 * want
 
 
 def _both_routes(ds, kind, horizon):
