@@ -21,7 +21,7 @@ from dataclasses import replace
 
 from .censoring import inject_censoring
 from .curves import StepSurvival, km_fit
-from .dataset import TrialDataset, check_arm_sizes, parse_dataset, split_by_arm
+from .dataset import TrialDataset, check_arm_sizes, parse_dataset
 from .km_tests import milestone_test, rmst_test
 from .logrank import WeightSpec, score_chain, standardize
 from .permutation import EXACT_HALF_SUMS_LIMIT, exact_perm_p, mc_perm_p
@@ -258,12 +258,12 @@ def parse_method_spec(text: str):
 
 def cmd_km(args) -> int:
     ds = _load(args)
-    if not args.pooled:
-        check_arm_sizes(ds.n, ds.n_arm1)
-    groups = [("pooled", ds)] if args.pooled else zip((0, 1), split_by_arm(ds))
+    if args.pooled:  # without events, the curve flat at 1
+        groups = [("pooled", km_fit(ds) if ds.n_events else StepSurvival((), (), ds.follow_up))]
+    else:
+        groups = [(arm, curve) for arm, (curve, *_) in enumerate(ds._arm_km)]
     times, survival, labels = [], [], []
-    for label, sub in groups:
-        curve = km_fit(sub) if sub.n_events else StepSurvival((), (), sub.follow_up)  # flat at 1
+    for label, curve in groups:
         times += (0.0, *curve.jump_times)
         survival += (1.0, *curve.values)
         labels += [label] * (1 + len(curve.values))

@@ -10,7 +10,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from itertools import accumulate
+from operator import add, mul
 
 from .dataset import TrialDataset
 
@@ -94,21 +95,14 @@ def km_fit(ds: TrialDataset) -> StepSurvival:
     Fitted and validated once per dataset, which keeps it: the same curve
     on every call.
     """
-    return ds._km  # raises when there are no events
+    return ds._km[0]  # raises when there are no events
 
 
-def _product_limit(ds: TrialDataset) -> StepSurvival:
-    """The fit ``km_fit`` keeps, from the dataset's risk-table columns.
-
-    Its ``jump_times`` are the risk table's ``times``, the same tuple.
-    """
-    times, at_risk, events = ds._risk_columns[:3]
-    values = []
-    surv = 1.0
-    for d, n in zip(events, at_risk):
-        surv *= 1.0 - d / n
-        values.append(surv)
-    return StepSurvival(times, tuple(values), ds.follow_up)
+def _product_limit(times, at_risk, events, follow_up: float) -> tuple[StepSurvival, list[float]]:
+    """The product-limit curve of risk-table columns, whose ``jump_times`` are ``times``
+    itself (none: flat at 1), and its factors 1 - d/n."""
+    factors = [1.0 - d / n for d, n in zip(events, at_risk)]
+    return StepSurvival(times, tuple(accumulate(factors, mul)), follow_up), factors
 
 
 def beyond_follow_up(horizon: float, follow_up: float) -> str | None:

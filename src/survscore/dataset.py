@@ -9,6 +9,7 @@ from itertools import compress, groupby, repeat
 
 CSV_HEADER = ("time", "arm", "event")
 _LABELS = {"0": 0, "1": 1}  # the only arm and event labels, as the ints a Subject holds
+_NO_EVENTS = "no event times: dataset contains only censored subjects"
 
 
 class DataFormatError(ValueError):
@@ -42,10 +43,10 @@ class TrialDataset:
     hold, in dataset order, the same objects the subjects do, and
     ``subjects`` gives the same rows as ``Subject`` records.  What is
     derived from the rows (``subjects``, the time order, the risk-table
-    columns, the arm split) is computed on first use and kept in the
-    instance ``__dict__``; none of it points back at the dataset, so
-    dropping the last reference frees it at once, without the cycle
-    collector.
+    columns, the pooled and per-arm KM curves, the arm split) is computed
+    on first use and kept in the instance ``__dict__``; none of it points
+    back at the dataset, so dropping the last reference frees it at once,
+    without the cycle collector.
     """
 
     times: tuple[float, ...]
@@ -115,7 +116,7 @@ class TrialDataset:
             left -= size
             left1 -= n1
         if not event_times:
-            raise ValueError("no event times: dataset contains only censored subjects")
+            raise ValueError(_NO_EVENTS)
         intervals = [0] * len(times)
         for k, j in zip(order, through):
             intervals[k] = j
@@ -123,14 +124,32 @@ class TrialDataset:
 
     @cached_property
     def _km(self):
-        """The curve ``curves.km_fit(self)`` returns: columns only, nothing pointing back."""
+        """``curves.km_fit(self)``'s curve and its factors: columns only, nothing pointing back."""
         from .curves import _product_limit  # curves imports this module
 
-        return _product_limit(self)
+        return _product_limit(*self._risk_columns[:3], self.follow_up)
+
+    @cached_property
+    def _arm_km(self) -> tuple[tuple, tuple]:
+        """Per arm: its Kaplan-Meier curve, factors, at-risk and death columns, read off the
+        pooled risk-table columns where it has a death (none: flat at 1); refuses an empty arm."""
+        from .curves import _product_limit  # curves imports this module
+
+        check_arm_sizes(self.n, self.n_arm1)
+        columns = self._risk_columns[:5] if self.n_events else [()] * 5
+        times, at_risk, deaths, at_risk1, deaths1 = columns
+        at_risk0 = [n - n1 for n, n1 in zip(at_risk, at_risk1)]
+        deaths0 = [d - d1 for d, d1 in zip(deaths, deaths1)]
+        fits = []
+        for arm, (arm_n, arm_d) in enumerate(((at_risk0, deaths0), (at_risk1, deaths1))):
+            kept = [tuple(compress(column, arm_d)) for column in (times, arm_n, arm_d)]
+            last = next(self.times[k] for k in reversed(self.time_order) if self.arms[k] == arm)
+            fits.append((*_product_limit(*kept, last), *kept[1:]))  # follow-up: the arm's last time
+        return tuple(fits)
 
     @cached_property
     def _arm_split(self) -> tuple["TrialDataset", "TrialDataset"]:
-        """The pair ``split_by_arm(self)`` returns."""
+        """The pair ``split_by_arm(self)`` returns; pseudo-values fit each arm's dataset."""
         on_arm0 = [not arm for arm in self.arms]
         return _select(self, on_arm0), _select(self, self.arms)
 

@@ -1,16 +1,16 @@
 """Closed-form Kaplan-Meier tests: RMST difference and milestone survival.
 
-Both compare the per-arm product-limit curves directly, with Greenwood-type
-variances, and orient their p-values by the benefit of the matching
-EstimandSpec.  A variance term at an event time where everyone at risk dies
-divides by zero; such terms are dropped and a warning is attached.
+Both compare the arms' product-limit curves, read off the pooled risk-table
+columns, with Greenwood-type variances, and orient their p-values by the
+benefit of the matching EstimandSpec.  A variance term at an event time where
+everyone at risk dies divides by zero; such terms are dropped with a warning.
 """
 
 from itertools import chain, repeat
 from operator import mul
 
-from .curves import beyond_follow_up, km_fit, tail_integrals
-from .dataset import TrialDataset, build_risk_table, check_arm_sizes, split_by_arm
+from .curves import beyond_follow_up, tail_integrals
+from .dataset import _NO_EVENTS, TrialDataset
 from .logrank import TestResult
 from .pseudo import EstimandSpec, _curve_functional
 
@@ -24,24 +24,18 @@ def _difference_test(ds: TrialDataset, spec: EstimandSpec) -> TestResult:
     from t_j to tau, S(t_j) times tail_integrals' entry j + 1 (rmst).
     """
     horizon, rmst_kind = spec.horizon, spec.kind == "rmst"
-    check_arm_sizes(ds.n, ds.n_arm1)
     estimates, variance, warnings = [], 0.0, []
-    for label, arm in zip(("arm 0", "arm 1"), split_by_arm(ds)):
-        try:
-            curve = km_fit(arm)
-            if refusal := beyond_follow_up(horizon, curve.follow_up):
-                raise ValueError(refusal)
-        except ValueError as exc:
-            raise ValueError(f"{exc} ({label})") from None
+    for label, (curve, factors, at_risk, deaths) in zip(("arm 0", "arm 1"), ds._arm_km):
+        refusal = beyond_follow_up(horizon, curve.follow_up) if curve.jump_times else _NO_EVENTS
+        if refusal:
+            raise ValueError(f"{refusal} ({label})")
         estimates.append(_curve_functional(curve, spec))
-        rt = build_risk_table(arm)
         if rmst_kind:
-            factors = [1.0 - d / n for d, n in zip(rt.events, rt.at_risk)]
-            tails = tail_integrals(rt.times, factors, horizon)[1:]
+            tails = tail_integrals(curve.jump_times, factors, horizon)[1:]
             coefficients = chain(map(mul, curve.values, tails), repeat(0.0))
         else:
             coefficients = repeat(estimates[-1])
-        for t, n, d, c in zip(rt.times, rt.at_risk, rt.events, coefficients):
+        for t, n, d, c in zip(curve.jump_times, at_risk, deaths, coefficients):
             if t > horizon:
                 break
             if n == d:

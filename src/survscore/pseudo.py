@@ -19,7 +19,6 @@ from .curves import (
     beyond_follow_up,
     fit_piecewise_exponential,
     interval_exposure,
-    km_fit,
     piecewise_hazard,
     piecewise_rmst,
     rmst,
@@ -169,7 +168,7 @@ def _curve_functional(curve: SurvivalCurve, spec: EstimandSpec) -> float:
     return next(_functional(lambda h: (curve.at(h),), lambda h: (rmst(curve, h),), spec))
 
 
-def _km_leave_one_out(rt: RiskTable):
+def _km_leave_one_out(rt: RiskTable, factors: list[float]):
     """S(h) and RMST(h) of every leave-one-out Kaplan-Meier fit, as columns.
 
     Removing subject k (time t, event e) lowers the at-risk count by 1 at
@@ -179,7 +178,7 @@ def _km_leave_one_out(rt: RiskTable):
     t, one factor for the last event time at or before t (1, as if it were
     absent, when no event is left there), and the full fit's own factors
     after it.  Prefix products and integrals of the shifted curve, plus the
-    suffix products of the full fit's factors and their tail_integrals() for
+    suffix products of the full fit's ``factors`` and their tail_integrals() for
     a horizon h (backward, so nothing is divided and S = 0 is safe), give
     every subject's S(h) and RMST(h) from its ``rt.intervals`` entry.
     Level j of a curve is its value after j jumps, on [start_j, t_j), with
@@ -188,7 +187,6 @@ def _km_leave_one_out(rt: RiskTable):
     """
     times, at_risk, events, pivots = rt.times, rt.at_risk, rt.events, rt.intervals
     starts = (0.0,) + times
-    factors = [1.0 - d / n for d, n in zip(events, at_risk)]
     # shifted level j, for every j < number of event times: an event time
     # before the last has a later death at risk, so n - 1 >= d there
     shifted = list(accumulate(
@@ -271,10 +269,10 @@ def _fit_group(ds: TrialDataset, spec: EstimandSpec):
     refuses, and why; without a position or a reason it refuses none.
     """
     if spec.backend == "km":
-        curve = km_fit(ds)
+        curve, factors = ds._km  # km_fit's curve and its factors; raises without events
         if reason := beyond_follow_up(spec.horizon, curve.follow_up):
             raise ValueError(reason)
-        at, integral = _km_leave_one_out(build_risk_table(ds))
+        at, integral = _km_leave_one_out(build_risk_table(ds), factors)
         # without the last subject in time order, follow-up ends at the time
         # before it in that order; without any other it stays
         second, last = ds.time_order[-2:]

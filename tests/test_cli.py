@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from survscore import (
-    EstimandSpec, WeightSpec, km_fit, parse_dataset, split_by_arm, standardize,
+    EstimandSpec, WeightSpec, km_fit, parse_dataset, standardize,
     standardize_pseudo, wlrt_test,
 )
 from survscore.cli import (
@@ -1046,14 +1046,23 @@ def test_scores_survival_column_is_the_left_limit(rows, tmp_path, monkeypatch):
 
 
 def test_one_km_fit_per_dataset_across_subcommands(toy_csv_path, capsys, monkeypatch):
-    fits = []
-    monkeypatch.setattr("survscore.curves._product_limit",
-                        lambda ds: fits.append(ds) or _product_limit(ds))
+    """km and the KM tests read both arm curves off the pooled risk table, with no arm
+    datasets; the pooled curve and each arm curve are built once."""
+    curves = []
+
+    def product_limit(*columns):
+        fit = _product_limit(*columns)
+        curves.append(fit[0])
+        return fit
+
+    monkeypatch.setattr("survscore.curves._product_limit", product_limit)
     parse_dataset.cache_clear()
     for argv in SCORE_CALLS:
         assert run(*argv, "--input", str(toy_csv_path)) == 0
     ds = parse_dataset(TOY_CSV)
-    assert sorted(map(id, fits)) == sorted(map(id, (ds, *split_by_arm(ds))))
+    assert "_arm_split" not in vars(ds)
+    arm_curves = [curve for curve, *_ in ds._arm_km]
+    assert sorted(map(id, curves)) == sorted(map(id, (km_fit(ds), *arm_curves)))
 
 
 def test_cli_field_over_csv_limit_is_single_line_error(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -196,6 +198,47 @@ def test_tail_integrals_match_exact_integrals_and_the_backward_sum(rows, where, 
                 want += c * c * d / (n * (n - d))
     variance = rmst_test(ds, horizon).variance
     assert math.isfinite(variance) and abs(variance - want) <= 1e-14 * want
+
+
+def _km_test(rows, kind, horizon):
+    ds = TrialDataset(tuple(Subject(*row) for row in rows))
+    return (rmst_test if kind == "rmst" else milestone_test)(ds, horizon)
+
+
+@given(rows=events_on_both_arms, kind=st.sampled_from(("rmst", "milestone")), where=wheres,
+       pick=st.integers(0, 11), shuffle_seed=st.integers(0, 2**32 - 1))
+@example(rows=ARM_REACHING_ZERO, kind="rmst", where="follow-up", pick=0, shuffle_seed=1)
+@example(rows=ARM_REACHING_ZERO, kind="milestone", where="event", pick=1, shuffle_seed=2)
+@settings(max_examples=300, deadline=None)
+def test_closed_form_is_metamorphic_in_row_order_arm_labels_and_time_scale(
+    rows, kind, where, pick, shuffle_seed
+):
+    """Shuffled rows give the same bits; swapped arms negate the statistic exactly and
+    sum the same variance terms in the other order; doubled times and horizon double
+    the RMST difference and quadruple its variance exactly, and leave the milestone
+    test's numbers as they were."""
+    horizon = _horizon(rows, where, pick)
+    base = _km_test(rows, kind, horizon)
+    shuffled = random.Random(shuffle_seed).sample(rows, len(rows))
+    again = _km_test(shuffled, kind, horizon)
+    assert (again.statistic, again.variance, again.warnings) == (
+        base.statistic, base.variance, base.warnings
+    )
+
+    swapped = _km_test([(t, 1 - a, e) for t, a, e in rows], kind, horizon)
+    assert swapped.statistic == -base.statistic
+    assert abs(swapped.variance - base.variance) <= 1e-15 * base.variance
+    relabel = {"arm 0": "arm 1", "arm 1": "arm 0"}
+    assert sorted(swapped.warnings) == sorted(
+        re.sub(r"arm [01]", lambda m: relabel[m[0]], w) for w in base.warnings
+    )
+
+    doubled = _km_test([(2.0 * t, a, e) for t, a, e in rows], kind, 2.0 * horizon)
+    scale = 2.0 if kind == "rmst" else 1.0
+    assert (doubled.statistic, doubled.variance) == (
+        scale * base.statistic, scale * scale * base.variance
+    )
+    assert len(doubled.warnings) == len(base.warnings)
 
 
 def _both_routes(ds, kind, horizon):
