@@ -98,11 +98,11 @@ def km_fit(ds: TrialDataset) -> StepSurvival:
     return ds._km[0]  # raises when there are no events
 
 
-def _product_limit(times, at_risk, events, follow_up: float) -> tuple[StepSurvival, list[float]]:
-    """The product-limit curve of risk-table columns, whose ``jump_times`` are ``times``
-    itself (none: flat at 1), and its factors 1 - d/n."""
+def _product_limit(times, at_risk, events, follow_up: float) -> tuple:
+    """The Kaplan-Meier fit of risk-table columns: the product-limit curve (its ``jump_times``
+    are ``times`` itself; none: flat at 1), its factors 1 - d/n, ``at_risk`` and ``events``."""
     factors = [1.0 - d / n for d, n in zip(events, at_risk)]
-    return StepSurvival(times, tuple(accumulate(factors, mul)), follow_up), factors
+    return StepSurvival(times, tuple(accumulate(factors, mul)), follow_up), factors, at_risk, events
 
 
 def beyond_follow_up(horizon: float, follow_up: float) -> str | None:

@@ -3,9 +3,10 @@
 import csv
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import compress, groupby, repeat
+from functools import cached_property, lru_cache, partial
+from itertools import compress, groupby
 
 CSV_HEADER = ("time", "arm", "event")
 _LABELS = {"0": 0, "1": 1}  # the only arm and event labels, as the ints a Subject holds
@@ -43,10 +44,10 @@ class TrialDataset:
     hold, in dataset order, the same objects the subjects do, and
     ``subjects`` gives the same rows as ``Subject`` records.  What is
     derived from the rows (``subjects``, the time order, the risk-table
-    columns, the pooled and per-arm KM curves, the arm split) is computed
-    on first use and kept in the instance ``__dict__``; none of it points
-    back at the dataset, so dropping the last reference frees it at once,
-    without the cycle collector.
+    counts and interval indices, the pooled and per-arm KM fits, the arm
+    split) is computed on first use and kept in the instance ``__dict__``;
+    none of it points back at the dataset, so dropping the last reference
+    frees it at once, without the cycle collector.
     """
 
     times: tuple[float, ...]
@@ -86,18 +87,17 @@ class TrialDataset:
 
     @cached_property
     def _risk_columns(self) -> tuple[tuple, ...]:
-        """The columns of ``build_risk_table(self)`` after ``source``, in field order.
+        """The columns of ``build_risk_table(self)`` between ``source`` and ``intervals``.
 
         One walk over the subjects sorted by time, a group of equal times at
         a time: a group with an event adds an event-time column, counted
         before the group leaves the risk set.  The table itself is not kept:
         its ``source`` is this dataset.
         """
-        times, arms, events, order = self.times, self.arms, self.events, self.time_order
+        times, arms, events = self.times, self.arms, self.events
         columns = event_times, at_risk, deaths, at_risk1, deaths1 = [], [], [], [], []
-        through = []  # event times at or before each subject, in ``order``
         left, left1 = len(times), sum(arms)  # at risk at the group's time
-        for t, group in groupby(order, times.__getitem__):
+        for t, group in groupby(self.time_order, times.__getitem__):
             size = d = n1 = d1 = 0
             for k in group:
                 size += 1
@@ -112,19 +112,20 @@ class TrialDataset:
                 deaths.append(d)
                 at_risk1.append(left1)
                 deaths1.append(d1)
-            through.extend(repeat(len(event_times), size))
             left -= size
             left1 -= n1
         if not event_times:
             raise ValueError(_NO_EVENTS)
-        intervals = [0] * len(times)
-        for k, j in zip(order, through):
-            intervals[k] = j
-        return (*map(tuple, columns), tuple(intervals))
+        return tuple(map(tuple, columns))
+
+    @cached_property
+    def _intervals(self) -> tuple[int, ...]:
+        """``RiskTable.intervals``: per subject, the number of event times at or before its time."""
+        return tuple(map(partial(bisect_right, self._risk_columns[0]), self.times))
 
     @cached_property
     def _km(self):
-        """``curves.km_fit(self)``'s curve and its factors: columns only, nothing pointing back."""
+        """The fit whose curve ``curves.km_fit(self)`` returns, shaped as an ``_arm_km`` arm."""
         from .curves import _product_limit  # curves imports this module
 
         return _product_limit(*self._risk_columns[:3], self.follow_up)
@@ -136,7 +137,7 @@ class TrialDataset:
         from .curves import _product_limit  # curves imports this module
 
         check_arm_sizes(self.n, self.n_arm1)
-        columns = self._risk_columns[:5] if self.n_events else [()] * 5
+        columns = self._risk_columns if self.n_events else [()] * 5
         times, at_risk, deaths, at_risk1, deaths1 = columns
         at_risk0 = [n - n1 for n, n1 in zip(at_risk, at_risk1)]
         deaths0 = [d - d1 for d, d1 in zip(deaths, deaths1)]
@@ -144,12 +145,12 @@ class TrialDataset:
         for arm, (arm_n, arm_d) in enumerate(((at_risk0, deaths0), (at_risk1, deaths1))):
             kept = [tuple(compress(column, arm_d)) for column in (times, arm_n, arm_d)]
             last = next(self.times[k] for k in reversed(self.time_order) if self.arms[k] == arm)
-            fits.append((*_product_limit(*kept, last), *kept[1:]))  # follow-up: the arm's last time
+            fits.append(_product_limit(*kept, last))  # follow-up: the arm's last time
         return tuple(fits)
 
     @cached_property
     def _arm_split(self) -> tuple["TrialDataset", "TrialDataset"]:
-        """The pair ``split_by_arm(self)`` returns; pseudo-values fit each arm's dataset."""
+        """The pair ``split_by_arm(self)`` returns; parametric pseudo-values fit each arm."""
         on_arm0 = [not arm for arm in self.arms]
         return _select(self, on_arm0), _select(self, self.arms)
 
@@ -189,11 +190,10 @@ class RiskTable:
     censored exactly there is still in the risk set; ``events`` counts the
     events there.  Both count the two arms together; ``at_risk1`` and
     ``events1`` count arm 1 alone.  ``source`` keeps the generating dataset
-    so per-subject quantities (scores, pseudo-values) can be broadcast back
-    in dataset order.  ``intervals`` holds, for each subject of ``source``
-    in source order, the number of event times at or before its time (0 =
-    before the first), so an event's own event time is column
-    ``intervals[k] - 1``.
+    so the scores can be broadcast back in dataset order.  ``intervals``
+    holds, for each subject of ``source`` in source order, the number of
+    event times at or before its time (0 = before the first), so an
+    event's own event time is column ``intervals[k] - 1``.
     """
 
     source: TrialDataset
@@ -267,7 +267,7 @@ def build_risk_table(ds: TrialDataset) -> RiskTable:
     The columns are computed once per dataset; each call wraps them in a
     new table.
     """
-    return RiskTable(ds, *ds._risk_columns)
+    return RiskTable(ds, *ds._risk_columns, ds._intervals)
 
 
 def check_two_arms(arms, values=None) -> int:

@@ -25,7 +25,7 @@ from .curves import (
     tail_integrals,
     valid_breakpoints,
 )
-from .dataset import RiskTable, TrialDataset, build_risk_table, check_arm_sizes, split_by_arm
+from .dataset import _NO_EVENTS, TrialDataset, check_arm_sizes, split_by_arm
 from .logrank import TestResult, _unit_axis, mean_score_diff, perm_moments
 
 ESTIMAND_KINDS = ("rmst", "milestone", "wmst", "ahsw")
@@ -168,9 +168,10 @@ def _curve_functional(curve: SurvivalCurve, spec: EstimandSpec) -> float:
     return next(_functional(lambda h: (curve.at(h),), lambda h: (rmst(curve, h),), spec))
 
 
-def _km_leave_one_out(rt: RiskTable, factors: list[float]):
+def _km_leave_one_out(curve, factors, at_risk, events, group_times, group_events):
     """S(h) and RMST(h) of every leave-one-out Kaplan-Meier fit, as columns.
 
+    The arguments are a group's fit and its subjects' times and events.
     Removing subject k (time t, event e) lowers the at-risk count by 1 at
     every event time <= t and the event count by e at t; the event times
     after t keep their factors 1 - d/n.  So the leave-one-out curve is a
@@ -180,12 +181,13 @@ def _km_leave_one_out(rt: RiskTable, factors: list[float]):
     after it.  Prefix products and integrals of the shifted curve, plus the
     suffix products of the full fit's ``factors`` and their tail_integrals() for
     a horizon h (backward, so nothing is divided and S = 0 is safe), give
-    every subject's S(h) and RMST(h) from its ``rt.intervals`` entry.
+    every subject's S(h) and RMST(h) from its count of event times <= t.
     Level j of a curve is its value after j jumps, on [start_j, t_j), with
     start_0 = 0.  Returns ``at(h)`` and ``integral(h)``: each builds its
-    suffixes once and gives one entry per subject, in ``rt.source`` order.
+    suffixes once and gives one entry per subject, in the group's order.
     """
-    times, at_risk, events, pivots = rt.times, rt.at_risk, rt.events, rt.intervals
+    times = curve.jump_times
+    pivots = [bisect_right(times, t) for t in group_times]
     starts = (0.0,) + times
     # shifted level j, for every j < number of event times: an event time
     # before the last has a later death at risk, so n - 1 >= d there
@@ -198,7 +200,7 @@ def _km_leave_one_out(rt: RiskTable, factors: list[float]):
     levels = [
         shifted[j - 1] * (1.0 - d / (at_risk[j - 1] - 1) if (d := events[j - 1] - e) else 1.0)
         if j else 1.0
-        for j, e in zip(pivots, rt.source.events)
+        for j, e in zip(pivots, group_events)
     ]
 
     def at(h):
@@ -261,26 +263,30 @@ def _parametric_leave_one_out(ds: TrialDataset, cuts: tuple[float, ...]):
     )
 
 
-def _fit_group(ds: TrialDataset, spec: EstimandSpec):
-    """One fitting group's full-sample functional, its leave-one-out ones, and a refusal.
+def _fit_group(ds: TrialDataset, spec: EstimandSpec, indices):
+    """The group at ``indices``: its full-sample functional, its leave-one-out ones, a refusal.
 
     The leave-one-out functionals are a lazy stream in ``ds`` order.  The
     refusal is the position of the first subject whose fit the downdate
     refuses, and why; without a position or a reason it refuses none.
     """
+    arm = ds.arms[indices[0]] if len(indices) < ds.n else None  # None: the whole trial
     if spec.backend == "km":
-        curve, factors = ds._km  # km_fit's curve and its factors; raises without events
-        if reason := beyond_follow_up(spec.horizon, curve.follow_up):
+        curve, *columns = ds._km if arm is None else ds._arm_km[arm]  # _km raises without events
+        reason = beyond_follow_up(spec.horizon, curve.follow_up) if curve.jump_times else _NO_EVENTS
+        if reason:
             raise ValueError(reason)
-        at, integral = _km_leave_one_out(build_risk_table(ds), factors)
-        # without the last subject in time order, follow-up ends at the time
-        # before it in that order; without any other it stays
-        second, last = ds.time_order[-2:]
-        refusal = last, beyond_follow_up(spec.horizon, ds.times[second])
+        times, events = ([source[k] for k in indices] for source in (ds.times, ds.events))
+        at, integral = _km_leave_one_out(curve, *columns, times, events)
+        # without the group's latest subject, follow-up ends at the latest time of the
+        # others (the same time, unless that subject is the only latest one)
+        last = times.index(curve.follow_up)
+        refusal = last, beyond_follow_up(spec.horizon, max(times[:last] + times[last + 1:]))
     else:
+        subset = ds if arm is None else split_by_arm(ds)[arm]
         cuts = spec.breakpoints if spec.backend == "piecewise" else ()  # exponential: no cuts
-        curve = fit_piecewise_exponential(ds, cuts)
-        at, integral, overflow = _parametric_leave_one_out(ds, curve.breakpoints)
+        curve = fit_piecewise_exponential(subset, cuts)
+        at, integral, overflow = _parametric_leave_one_out(subset, curve.breakpoints)
         refusal = overflow, "rates must be finite and nonnegative"
     return _curve_functional(curve, spec), _functional(at, integral, spec), refusal
 
@@ -292,28 +298,26 @@ def pseudo_values(ds: TrialDataset, spec: EstimandSpec) -> PseudoSet:
     from downdating that fit, exactly, rather than from n refits.
     """
     if spec.pooling == "arm":
-        groups = [
-            (f"arm {a}", [k for k, arm in enumerate(ds.arms) if arm == a], subset)
-            for a, subset in enumerate(split_by_arm(ds)) if subset.n
-        ]
+        members = [[k for k, arm in enumerate(ds.arms) if arm == a] for a in (0, 1)]
+        groups = [(f"arm {a}", indices) for a, indices in enumerate(members) if indices]
     else:
-        groups = [("pooled", list(range(ds.n)), ds)]
+        groups = [("pooled", list(range(ds.n)))]
 
     values: list[float | None] = [None] * ds.n
     loo: list[float | None] = [None] * ds.n
     functionals: dict[str, float] = {}
-    for label, indices, subset in groups:
+    for label, indices in groups:
         n = len(indices)
         if n < 2:
             raise ValueError(f"fitting group {label} needs at least 2 subjects, has {n}")
         try:
-            full, estimates, (refused, reason) = _fit_group(subset, spec)
+            full, estimates, (refused, reason) = _fit_group(ds, spec, indices)
         except ValueError as exc:
             raise ValueError(f"{exc} (full fit, group {label})") from None
         functionals[label.replace(" ", "")] = full  # keyed arm0, arm1 or pooled
-        n_events, events = subset.n_events, subset.events
+        n_events = sum(ds.events[k] for k in indices)
         for position, k in enumerate(indices):
-            if spec.backend == "km" and n_events - events[position] == 0:
+            if spec.backend == "km" and n_events - ds.events[k] == 0:
                 raise ValueError(
                     f"degenerate leave-one-out: removing subject {k} leaves no events"
                 )

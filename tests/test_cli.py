@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from survscore import (
-    EstimandSpec, WeightSpec, km_fit, parse_dataset, standardize,
+    EstimandSpec, WeightSpec, km_fit, parse_dataset, split_by_arm, standardize,
     standardize_pseudo, wlrt_test,
 )
 from survscore.cli import (
@@ -956,8 +956,11 @@ def test_svg_axis_at_the_float_range_ends_prints_no_inf_or_nan(rows, tmp_path):
 
 def _contract_argvs():
     """One small argv per METHODS row (its table and its panel), per test --method route and
-    per --perm mode, each key without a default given its SAMPLE_TEXTS text; and km, censor."""
-    argvs = [["km"], ["censor"]]
+    per --perm mode, each key without a default given its SAMPLE_TEXTS text; and km, km --pooled,
+    censor, and Kaplan-Meier RMST pseudo-values per arm and pooled."""
+    tau = ["--tau", SAMPLE_TEXTS["tau"][0]]
+    argvs = [["km"], ["km", "--pooled"], ["censor"], ["pseudo", "--estimand", "rmst", *tau],
+             ["pseudo", "--estimand", "rmst", *tau, "--pooling", "pooled"]]
     for name, (keys, build, lists, route) in METHODS.items():
         reads = keys if route is None else route[1]
         needed = [key for key in reads if OPTIONS[key][2] is None]
@@ -1008,8 +1011,8 @@ def _trial_csv_texts(draw):
 def test_cli_contract_on_any_trial_csv(text, tmp_path):
     """Any trial CSV text, through every method, route and --perm mode: the CLI contract holds.
 
-    On a trial with an empty arm, every two-sample command (km, test, plot) refuses it first,
-    with the one text, which a panel prefixes with its spec.
+    On a trial with an empty arm, every two-sample command (km without --pooled, test, plot)
+    refuses it first, with the one text, which a panel prefixes with its spec.
     """
     path = tmp_path / "trial.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -1020,7 +1023,7 @@ def test_cli_contract_on_any_trial_csv(text, tmp_path):
         for stale in (out, out.with_suffix(".csv")):
             stale.unlink(missing_ok=True)
         refusal = None
-        if empty and argv[0] in ("km", "test", "plot"):
+        if empty and argv[0] in ("km", "test", "plot") and "--pooled" not in argv:
             prefix = f"panel {argv[2]!r}: " if argv[0] == "plot" else ""
             refusal = f"{prefix}arm {empty} has no subjects"
         argv = [str(out) if arg == OUT else arg for arg in argv] + ["--input", str(path)]
@@ -1046,8 +1049,8 @@ def test_scores_survival_column_is_the_left_limit(rows, tmp_path, monkeypatch):
 
 
 def test_one_km_fit_per_dataset_across_subcommands(toy_csv_path, capsys, monkeypatch):
-    """km and the KM tests read both arm curves off the pooled risk table, with no arm
-    datasets; the pooled curve and each arm curve are built once."""
+    """km, the KM tests and the KM pseudo-values read both arm curves off the pooled risk
+    table, fitting no arm dataset; the pooled curve and each arm curve are built once."""
     curves = []
 
     def product_limit(*columns):
@@ -1061,6 +1064,10 @@ def test_one_km_fit_per_dataset_across_subcommands(toy_csv_path, capsys, monkeyp
         assert run(*argv, "--input", str(toy_csv_path)) == 0
     ds = parse_dataset(TOY_CSV)
     assert "_arm_split" not in vars(ds)
+    for argv in (["pseudo", "--estimand", "rmst", "--tau", "18"],
+                 ["pseudo", "--estimand", "milestone", "--kappa", "18", "--pooling", "pooled"]):
+        assert run(*argv, "--input", str(toy_csv_path)) == 0
+    assert not any({"_risk_columns", "_km"} & set(vars(arm)) for arm in split_by_arm(ds))
     arm_curves = [curve for curve, *_ in ds._arm_km]
     assert sorted(map(id, curves)) == sorted(map(id, (km_fit(ds), *arm_curves)))
 

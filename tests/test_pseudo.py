@@ -1,10 +1,11 @@
 import hashlib
 import math
+import random
 import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from survscore import (
@@ -462,3 +463,47 @@ def test_downdate_matches_refit_oracle_on_random_tied_trials(backend, pooling, c
     assert want is not None, "the library computed values the refit oracle cannot"
     for g, w in zip(got, want):
         assert math.isclose(g, w, rel_tol=1e-9, abs_tol=1e-9), (g, w)
+
+
+def _km_pseudo_bits(rows, kind, horizon, pooling):
+    """The Kaplan-Meier pseudo-values of ``rows`` as float.hex() texts, or None if refused."""
+    spec = EstimandSpec(kind, pooling=pooling, **{"tau" if kind == "rmst" else "kappa": horizon})
+    try:
+        return [v.hex() for v in pseudo_values(_dataset(rows), spec).values]
+    except ValueError:
+        return None
+
+
+@given(
+    rows=st.lists(st.tuples(st.sampled_from((1.0, 2.0, 2.5, 4.0, 7.0)), st.integers(0, 1),
+                            st.integers(0, 1)), min_size=2, max_size=14),
+    kind=st.sampled_from(("rmst", "milestone")),
+    pooling=st.sampled_from(("arm", "pooled")),
+    horizon=st.sampled_from((0.5, 1.0, 1.5, 2.0, 2.25, 2.5, 3.0, 4.0, 5.0, 6.0)),
+    shuffle_seed=st.integers(0, 2**32 - 1),
+)
+# refused: arm 1's latest subject is its only one at 4, and without it follow-up ends at
+# 2.5 < 3; accepted: the pooled milestone at 2.25, with events tied across arms at 1 and 2
+@example(rows=[(1.0, 0, 1), (2.0, 0, 1), (7.0, 0, 0), (1.0, 1, 1), (2.5, 1, 1), (4.0, 1, 0),
+               (2.0, 1, 1)], kind="rmst", pooling="arm", horizon=3.0, shuffle_seed=1)
+@example(rows=[(1.0, 0, 1), (2.0, 0, 1), (7.0, 0, 0), (1.0, 1, 1), (2.5, 1, 1), (4.0, 1, 0),
+               (2.0, 1, 1)], kind="milestone", pooling="pooled", horizon=2.25, shuffle_seed=2)
+@settings(max_examples=300, deadline=None)
+def test_km_pseudo_values_are_metamorphic_in_row_order_arm_labels_and_time_scale(
+    rows, kind, pooling, horizon, shuffle_seed
+):
+    """Per arm and pooled: shuffled rows give each subject the same bits, swapped arms give
+    every value the same bits, and doubled times and horizon double each RMST value exactly
+    and keep each milestone value; a refused trial stays refused under each change."""
+    base = _km_pseudo_bits(rows, kind, horizon, pooling)
+    order = random.Random(shuffle_seed).sample(range(len(rows)), len(rows))
+    shuffled = _km_pseudo_bits([rows[k] for k in order], kind, horizon, pooling)
+    swapped = _km_pseudo_bits([(t, 1 - a, e) for t, a, e in rows], kind, horizon, pooling)
+    doubled = _km_pseudo_bits([(2.0 * t, a, e) for t, a, e in rows], kind, 2.0 * horizon, pooling)
+    if base is None:
+        assert (shuffled, swapped, doubled) == (None, None, None)
+        return
+    assert shuffled == [base[k] for k in order]
+    assert swapped == base
+    scale = 2.0 if kind == "rmst" else 1.0
+    assert doubled == [(scale * float.fromhex(v)).hex() for v in base]
